@@ -9,13 +9,14 @@ i.e. rank deficiency without --regularize).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import statefile
-from .dynamics import decompose_hamiltonian, record_trajectory
+from .dynamics import TrajectoryRecord, decompose_hamiltonian, record_trajectory
 from .laziness import (
     RankDeficientStateError,
     correlation_measures,
@@ -25,6 +26,7 @@ from .laziness import (
 from .protocol import (
     DEFAULT_DETECT_THRESHOLD,
     DEFAULT_LAZY_TOL,
+    SweepRow,
     bound_sweep,
     detect_discord,
     sparsity_scan,
@@ -115,31 +117,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _correlation_payload(report) -> dict:
-    return {
-        "mutual_information": report.mutual_information,
-        "negativity": report.negativity,
-        "system_entropy": report.system_entropy,
-        "environment_entropy": report.environment_entropy,
-        "total_entropy": report.total_entropy,
-        "entanglement_entropy": report.entanglement_entropy,
-        "pure_discord": report.pure_discord,
-        "robustness_pure": report.robustness_pure,
-    }
-
-
 def _rate_payload(report) -> dict:
-    return {
-        "entropy_rate": report.entropy_rate,
-        "purity_rate": report.purity_rate,
-        "moment_rates": {str(n): v for n, v in sorted(report.moment_rates.items())},
-        "entropy_bound": report.entropy_bound,
-        "purity_bound": report.purity_bound,
-        "mi_purity_bound": report.mi_purity_bound,
-        "h_int_operator_norm": report.h_int_operator_norm,
-        "ln_commutator_trace_norm": report.ln_commutator_trace_norm,
-        "h_int_norm_kind": report.h_int_norm_kind,
-    }
+    # string keys so that json and _flatten both order "10" before "3"
+    payload = dataclasses.asdict(report)
+    payload["moment_rates"] = {str(n): v for n, v in report.moment_rates.items()}
+    return payload
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -166,7 +148,7 @@ def cmd_analyze(args) -> int:
             "lazy": comm.lazy,
             "tolerance": comm.tolerance,
         },
-        "correlations": _correlation_payload(corr),
+        "correlations": dataclasses.asdict(corr),
     }
     if args.hamiltonian is not None:
         h_tot = statefile.load_hamiltonian(args.hamiltonian)
@@ -200,30 +182,13 @@ def cmd_evolve(args) -> int:
     times = np.linspace(0.0, args.t_max, args.steps)
     traj = record_trajectory(state, h_tot, times, ns=ns, regularize=args.regularize)
 
-    header = [
-        "time",
-        "entropy",
-        "purity",
-        "comm_trace_norm",
-        "entropy_rate",
-        "entropy_bound",
-        "purity_rate",
-        "purity_bound",
-    ] + [f"moment_{n}" for n in ns]
-    rows = []
-    for t, rec in zip(traj.times, traj.records):
-        row = [
-            float(t),
-            rec.entropy,
-            rec.purity,
-            rec.comm_trace_norm,
-            rec.entropy_rate,
-            rec.entropy_bound,
-            rec.purity_rate,
-            rec.purity_bound,
-        ] + [rec.moment_values[n] for n in ns]
-        rows.append(row)
-    _emit(_csv_text(header, rows), args.out)
+    # columns follow TrajectoryRecord's field order, moment values last
+    cols = [f.name for f in dataclasses.fields(TrajectoryRecord) if f.name != "moment_values"]
+    rows = [
+        [float(t), *(getattr(rec, c) for c in cols), *(rec.moment_values[n] for n in ns)]
+        for t, rec in zip(traj.times, traj.records)
+    ]
+    _emit(_csv_text(["time", *cols, *(f"moment_{n}" for n in ns)], rows), args.out)
     return 0
 
 
@@ -237,15 +202,8 @@ def cmd_detect_discord(args) -> int:
         use_fd=args.fd,
         fd_step=args.fd_step,
     )
-    payload = {
-        "samples": verdict.samples,
-        "max_abs_purity_rate": verdict.max_abs_purity_rate,
-        "threshold": verdict.threshold,
-        "discord_detected": verdict.discord_detected,
-        "per_sample_rates": list(verdict.per_sample_rates),
-    }
     if args.json:
-        _emit(_json_text(payload), args.out)
+        _emit(_json_text(dataclasses.asdict(verdict)), args.out)
     else:
         lines = [
             f"samples = {verdict.samples}",
@@ -270,18 +228,8 @@ def cmd_sparsity(args) -> int:
         include=include,
         bins=args.bins,
     )
-    payload = {
-        "samples": summary.samples,
-        "lazy_tol": summary.lazy_tol,
-        "count_below_tol": summary.count_below_tol,
-        "median_trace_norm": summary.median_trace_norm,
-        "min_trace_norm": summary.min_trace_norm,
-        "max_trace_norm": summary.max_trace_norm,
-        "histogram_edges": list(summary.histogram_edges),
-        "histogram_counts": list(summary.histogram_counts),
-    }
     if args.json:
-        _emit(_json_text(payload), args.out)
+        _emit(_json_text(dataclasses.asdict(summary)), args.out)
     else:
         lines = [
             f"samples = {summary.samples}",
@@ -300,42 +248,12 @@ def cmd_sparsity(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows = bound_sweep(ds=args.ds, de=args.de, samples=args.samples, seed=args.seed)
-    header = [
-        "sample",
-        "pure",
-        "entropy_rate",
-        "entropy_bound",
-        "entropy_slack",
-        "purity_rate",
-        "purity_bound",
-        "purity_slack",
-        "mi_purity_bound",
+    header = [f.name for f in dataclasses.fields(SweepRow)]
+    table = [
+        ["" if v is None else int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(r)]
+        for r in rows
     ]
-    table = []
-    for r in rows:
-        table.append(
-            [
-                r.sample,
-                int(r.pure),
-                r.entropy_rate,
-                r.entropy_bound,
-                r.entropy_slack,
-                r.purity_rate,
-                r.purity_bound,
-                r.purity_slack,
-                "" if r.mi_purity_bound is None else r.mi_purity_bound,
-            ]
-        )
-    lines = [",".join(header)]
-    for row in table:
-        rendered = []
-        for v in row:
-            if isinstance(v, float):
-                rendered.append(_fmt(v))
-            else:
-                rendered.append(str(v))
-        lines.append(",".join(rendered))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv_text(header, table), args.out)
     return 0
 
 

@@ -14,10 +14,14 @@ import numpy as np
 from . import linalg
 from .laziness import (
     RankDeficientStateError,
-    default_lazy_tolerance,
-    laziness_commutator,
+    _check_h_int,
+    _eigenbasis,
+    _operator_norm_hermitian,
+    _power_sums,
+    _rate_report,
+    _spectral_entropy,
     moments,
-    rate_bounds,
+    regularize_state,
     von_neumann_entropy,
 )
 from .states import BipartiteState
@@ -27,16 +31,11 @@ FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class HamiltonianTriple:
-    """H_tot = h_s (x) I + I (x) h_e + h_int with partial-traceless h_int.
-
-    ``shift_split`` records how the scalar trace part was apportioned
-    between the two local terms (c/2 each); no observable depends on it.
-    """
+    """H_tot = h_s (x) I + I (x) h_e + h_int with partial-traceless h_int."""
 
     h_s: np.ndarray
     h_e: np.ndarray
     h_int: np.ndarray
-    shift_split: float
 
     def reassemble(self) -> np.ndarray:
         ds = self.h_s.shape[0]
@@ -92,7 +91,6 @@ def decompose_hamiltonian(h_tot, ds: int, de: int) -> HamiltonianTriple:
         h_s=a - (c / 2.0) * np.eye(ds),
         h_e=b - (c / 2.0) * np.eye(de),
         h_int=h_int,
-        shift_split=c / 2.0,
     )
 
 
@@ -166,7 +164,9 @@ def record_trajectory(
 
     Rates use the interaction part of the decomposed Hamiltonian; the
     local parts provably contribute nothing. Entropy-rate evaluation
-    requires full-rank rho_S at every sample (or ``regularize``).
+    requires full-rank rho_S at every sample (or ``regularize``). Each
+    sample diagonalizes rho_S once; that eigenbasis yields the reduced
+    observables, the commutator and every rate.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -176,6 +176,8 @@ def record_trajectory(
 
     triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
+    h_int = _check_h_int(rho0, triple.h_int)
+    h_norm = _operator_norm_hermitian(h_int)
 
     records = []
     for t in ts:
@@ -184,14 +186,15 @@ def record_trajectory(
         )
         mat = u @ rho0.matrix @ linalg.dagger(u)
         state = BipartiteState(ds=rho0.ds, de=rho0.de, matrix=(mat + linalg.dagger(mat)) / 2)
-        comm = laziness_commutator(state)
-        report = rate_bounds(state, triple.h_int, ns=tuple(ns), regularize=regularize)
+        basis = _eigenbasis(state)
+        rate_basis = basis if regularize is None else _eigenbasis(regularize_state(state, regularize))
+        report = _rate_report(rate_basis, h_int, h_norm, ns)
         records.append(
             TrajectoryRecord(
-                entropy=von_neumann_entropy(state.rho_s),
-                purity=float(np.linalg.norm(state.rho_s) ** 2),
-                moment_values=moments(state.rho_s, ns) if ns else {},
-                comm_trace_norm=comm.trace_norm,
+                entropy=_spectral_entropy(basis.lam),
+                purity=float((basis.lam**2).sum()),
+                moment_values=_power_sums(basis.lam, ns),
+                comm_trace_norm=basis.comm_trace_norm,
                 entropy_rate=report.entropy_rate,
                 entropy_bound=report.entropy_bound,
                 purity_rate=report.purity_rate,
@@ -199,8 +202,3 @@ def record_trajectory(
             )
         )
     return Trajectory(times=ts, records=tuple(records))
-
-
-def lazy_rate_ceiling(rho: BipartiteState, h_int) -> float:
-    """10 * lazy_tol * ||h_int||: the rate scale a lazy verdict permits."""
-    return 10.0 * default_lazy_tolerance(rho) * linalg.operator_norm(h_int)

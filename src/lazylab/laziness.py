@@ -6,16 +6,24 @@ it is invariant under the spectral pinching of rho_S. The functions here
 evaluate the commutator, the exact entropy/moment rates (hbar = 1, nats),
 the universal bounds on those rates, and the correlation quantities the
 bounds are made of.
+
+All of them are evaluated in the eigenbasis of rho_S = u diag(lam) u†,
+where [f(rho_S) (x) I, rho_SE] is the Hadamard product
+(f(lam_i) - f(lam_j)) rho'_{(ia),(jb)} with rho' = (u (x) I)† rho_SE (u (x) I)
+(the Daleckii-Krein form): f = x, ln and x^(N-1) give the laziness
+commutator, the entropy rate and the moment rates. Commutators are
+anti-Hermitian, so their trace norms are sum |eigvalsh(i C)|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .states import BipartiteState, SpectralProjection, schmidt_decompose, spectral_projection
+from .states import BipartiteState, SpectralProjection, _cluster_labels, schmidt_decompose
 
 # lazy <=> trace norm of the commutator below tol; scaled with the total
 # dimension because the commutator entries accumulate O(dim) roundoff.
@@ -92,32 +100,111 @@ class PureStateAnalytics:
     robustness: float
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    mat = linalg.require_hermitian(rho, name="rho")
-    lam = np.linalg.eigvalsh(mat)
+def _trace_norm_hermitian(m: np.ndarray) -> float:
+    """||m||_1 = sum |eigenvalues| of a Hermitian m (pass i*C for anti-Hermitian C)."""
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+
+def _operator_norm_hermitian(m: np.ndarray) -> float:
+    """||m|| = max |eigenvalue| of a Hermitian m."""
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """tr(a b) without forming the product."""
+    return complex(np.sum(a.T * b))
+
+
+def _lifted_sandwich(a: np.ndarray, op: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a (x) I_E) op (b (x) I_E) for system-space a and b, without the krons."""
+    ds, dim = a.shape[0], op.shape[0]
+    left = (a @ op.reshape(ds, -1)).reshape(dim, ds, -1)
+    return (b.T @ left).reshape(dim, dim)
+
+
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """rho_SE in the eigenbasis of rho_S = u diag(lam) u†: ``lam`` ascends and
+    ``rho`` is the Hermitian rho' = (u (x) I)† rho_SE (u (x) I). Norms and
+    traces of products are the same in this basis as in the original one.
+    """
+
+    lam: np.ndarray
+    u: np.ndarray
+    rho: np.ndarray
+
+    def rotate(self, op: np.ndarray) -> np.ndarray:
+        return _lifted_sandwich(linalg.dagger(self.u), op, self.u)
+
+    def unrotate(self, op: np.ndarray) -> np.ndarray:
+        return _lifted_sandwich(self.u, op, linalg.dagger(self.u))
+
+    def weigh_blocks(self, w: np.ndarray) -> np.ndarray:
+        """rho' with its (i, j) system block multiplied by w[i, j]."""
+        ds, dim = self.lam.size, self.rho.shape[0]
+        blocks = self.rho.reshape(ds, dim // ds, ds, dim // ds)
+        return (w[:, None, :, None] * blocks).reshape(dim, dim)
+
+    def commutator(self, f_lam: np.ndarray) -> np.ndarray:
+        """[f(rho_S) (x) I, rho_SE] in this basis, given f at each lam."""
+        return self.weigh_blocks(f_lam[:, None] - f_lam[None, :])
+
+    @cached_property
+    def comm(self) -> np.ndarray:
+        """C = [rho_S (x) I, rho_SE]; anti-Hermitian, zero iff lazy."""
+        return self.commutator(self.lam)
+
+    @cached_property
+    def comm_trace_norm(self) -> float:
+        return _trace_norm_hermitian(1j * self.comm)
+
+    @cached_property
+    def ln_comm(self) -> np.ndarray:
+        """K = [ln(rho_S) (x) I, rho_SE]; refused below the log floor."""
+        lam_min = float(self.lam[0])
+        if lam_min < linalg.LOG_EIGENVALUE_FLOOR:
+            raise RankDeficientStateError(
+                f"rho_S has eigenvalue {lam_min:.3e} below "
+                f"{linalg.LOG_EIGENVALUE_FLOOR:.1e}; pass regularize=delta to mix "
+                f"with the maximally mixed state first"
+            )
+        return self.commutator(np.log(self.lam))
+
+
+def _eigenbasis(rho: BipartiteState) -> _Eigenbasis:
+    spec = linalg.hermitian_eig(rho.rho_s, name="rho_S")
+    u = spec.eigenvectors
+    rot = _lifted_sandwich(linalg.dagger(u), rho.matrix, u)
+    return _Eigenbasis(lam=spec.eigenvalues, u=u, rho=(rot + linalg.dagger(rot)) / 2)
+
+
+def _spectral_entropy(lam: np.ndarray) -> float:
     lam = np.clip(lam, 0.0, 1.0)
     nz = lam[lam > 0.0]
     return float(-(nz * np.log(nz)).sum()) + 0.0  # normalize -0.0
 
 
-def purity(rho) -> float:
-    """tr(rho^2) = the N=2 moment."""
-    mat = linalg.as_complex_matrix(rho)
-    return float(np.linalg.norm(mat) ** 2)
+def _moment_order(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"moment order must be >= 1, got {n}")
+    return n
+
+
+def _power_sums(lam: np.ndarray, ns) -> dict[int, float]:
+    return {n: float((lam**n).sum()) for n in map(_moment_order, ns)}
+
+
+def von_neumann_entropy(rho) -> float:
+    """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 = 0."""
+    mat = linalg.require_hermitian(rho, name="rho")
+    return _spectral_entropy(np.linalg.eigvalsh(mat))
 
 
 def moments(rho, ns) -> dict[int, float]:
     """tr(rho^N) for each requested power N >= 1."""
     mat = linalg.require_hermitian(rho, name="rho")
-    lam = np.linalg.eigvalsh(mat)
-    out: dict[int, float] = {}
-    for n in ns:
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"moment order must be >= 1, got {n}")
-        out[n] = float((lam**n).sum())
-    return out
+    return _power_sums(np.linalg.eigvalsh(mat), ns)
 
 
 def default_lazy_tolerance(rho: BipartiteState) -> float:
@@ -128,12 +215,12 @@ def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> Commut
     """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
     if tol is None:
         tol = default_lazy_tolerance(rho)
-    comm = linalg.commutator(linalg.kron(rho.rho_s, np.eye(rho.de)), rho.matrix)
-    tn = linalg.trace_norm(comm)
+    basis = _eigenbasis(rho)
+    tn = basis.comm_trace_norm
     return CommutatorReport(
-        commutator=comm,
+        commutator=basis.unrotate(basis.comm),
         trace_norm=tn,
-        frobenius_norm=float(np.linalg.norm(comm)),
+        frobenius_norm=float(np.linalg.norm(basis.comm)),
         lazy=bool(tn <= tol),
         tolerance=float(tol),
     )
@@ -151,23 +238,23 @@ def spectral_pinch(rho: BipartiteState, proj: SpectralProjection) -> BipartiteSt
         total += p
     if np.linalg.norm(total - np.eye(rho.ds)) > 1e-8:
         raise ValueError("projectors do not resolve the identity on the system")
-    eye_e = np.eye(rho.de)
-    out = np.zeros_like(rho.matrix)
-    for p in proj.projectors:
-        lifted = linalg.kron(p, eye_e)
-        out += lifted @ rho.matrix @ lifted
-    return BipartiteState(ds=rho.ds, de=rho.de, matrix=out)
+    ps = np.stack(proj.projectors)
+    t = rho.matrix.reshape(rho.ds, rho.de, rho.ds, rho.de)
+    out = np.einsum("pik,kalb,plj->iajb", ps, t, ps, optimize=True)
+    return BipartiteState(ds=rho.ds, de=rho.de, matrix=out.reshape(rho.dim, rho.dim))
 
 
 def pinching_residual(rho: BipartiteState, cluster_tol: float = 1e-8) -> float:
     """||rho - pinch(rho)||_1 with projectors from rho_S's own spectrum.
 
     Zero exactly on lazy states; both sides of that equivalence use the
-    same clustering tolerance for degenerate system spectra.
+    same clustering tolerance for degenerate system spectra. In the
+    eigenbasis of rho_S the residual is rho' restricted to the blocks
+    whose eigenvalues fall in different clusters.
     """
-    proj = spectral_projection(rho.rho_s, cluster_tol=cluster_tol)
-    pinched = spectral_pinch(rho, proj)
-    return linalg.trace_norm(rho.matrix - pinched.matrix)
+    basis = _eigenbasis(rho)
+    labels = _cluster_labels(basis.lam, cluster_tol)
+    return _trace_norm_hermitian(basis.weigh_blocks(labels[:, None] != labels[None, :]))
 
 
 def regularize_state(rho: BipartiteState, delta: float) -> BipartiteState:
@@ -179,10 +266,14 @@ def regularize_state(rho: BipartiteState, delta: float) -> BipartiteState:
     return BipartiteState(ds=rho.ds, de=rho.de, matrix=mat)
 
 
+def _prepared(rho: BipartiteState, regularize: float | None) -> BipartiteState:
+    return rho if regularize is None else regularize_state(rho, regularize)
+
+
 def _require_real(value: complex, *, what: str) -> float:
     if abs(value.imag) > IMAG_TOL:
         raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return float(value.real) + 0.0  # normalize -0.0
 
 
 def _check_h_int(rho: BipartiteState, h_int) -> np.ndarray:
@@ -194,21 +285,32 @@ def _check_h_int(rho: BipartiteState, h_int) -> np.ndarray:
     return h
 
 
-def _log_commutator(rho: BipartiteState) -> np.ndarray:
-    """K = [ln(rho_S) (x) I, rho_SE]; anti-Hermitian, zero iff lazy."""
-    lam_min = float(np.linalg.eigvalsh(rho.rho_s)[0])
-    if lam_min < linalg.LOG_EIGENVALUE_FLOOR:
-        raise RankDeficientStateError(
-            f"rho_S has eigenvalue {lam_min:.3e} below "
-            f"{linalg.LOG_EIGENVALUE_FLOOR:.1e}; pass regularize=delta to mix "
-            f"with the maximally mixed state first"
-        )
-    log_s = linalg.matrix_log(rho.rho_s, name="rho_S")
-    return linalg.commutator(linalg.kron(log_s, np.eye(rho.de)), rho.matrix)
+def _entropy_rate(basis: _Eigenbasis, h_rot: np.ndarray) -> float:
+    return _require_real(-1j * _trace_product(h_rot, basis.ln_comm), what="entropy rate")
 
 
-def _prepared(rho: BipartiteState, regularize: float | None) -> BipartiteState:
-    return rho if regularize is None else regularize_state(rho, regularize)
+def _moment_rate(basis: _Eigenbasis, h_rot: np.ndarray, n) -> float:
+    n = _moment_order(n)
+    comm = basis.commutator(basis.lam ** (n - 1))
+    return _require_real(1j * n * _trace_product(h_rot, comm), what=f"moment-{n} rate")
+
+
+def _rate_report(
+    basis: _Eigenbasis, h: np.ndarray, h_norm: float, ns: tuple[int, ...]
+) -> RateReport:
+    """Rates and bounds of the basis' state for the (checked) interaction h."""
+    h_rot = basis.rotate(h)
+    ln_comm_tn = _trace_norm_hermitian(1j * basis.ln_comm)
+    return RateReport(
+        entropy_rate=_entropy_rate(basis, h_rot),
+        purity_rate=_moment_rate(basis, h_rot, 2),
+        moment_rates={n: _moment_rate(basis, h_rot, n) for n in ns},
+        entropy_bound=h_norm * ln_comm_tn,
+        purity_bound=2.0 * h_norm * basis.comm_trace_norm,
+        mi_purity_bound=None,
+        h_int_operator_norm=h_norm,
+        ln_commutator_trace_norm=ln_comm_tn,
+    )
 
 
 def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) -> float:
@@ -219,10 +321,8 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
     arbitrary coupling strength and needs no Markovian assumption.
     """
     h = _check_h_int(rho, h_int)
-    state = _prepared(rho, regularize)
-    k = _log_commutator(state)
-    val = -1j * np.trace(h @ k)
-    return _require_real(complex(val), what="entropy rate")
+    basis = _eigenbasis(_prepared(rho, regularize))
+    return _entropy_rate(basis, basis.rotate(h))
 
 
 def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
@@ -232,14 +332,10 @@ def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
     purity rate. Well-defined for rank-deficient rho_S, unlike the
     entropy rate.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
+    n = _moment_order(n)
     h = _check_h_int(rho, h_int)
-    power = np.linalg.matrix_power(rho.rho_s, n - 1)
-    k = linalg.commutator(linalg.kron(power, np.eye(rho.de)), rho.matrix)
-    val = 1j * n * np.trace(h @ k)
-    return _require_real(complex(val), what=f"moment-{n} rate")
+    basis = _eigenbasis(rho)
+    return _moment_rate(basis, basis.rotate(h), n)
 
 
 def purity_rate(rho: BipartiteState, h_int) -> float:
@@ -259,32 +355,12 @@ def rate_bounds(
     mi_purity_bound = 4 ||H_int|| sqrt(2 I).
     """
     h = _check_h_int(rho, h_int)
-    state = _prepared(rho, regularize)
-    h_norm = linalg.operator_norm(h)
-
-    k = _log_commutator(state)
-    ln_comm_tn = linalg.trace_norm(k)
-    s_rate = _require_real(complex(-1j * np.trace(h @ k)), what="entropy rate")
-
-    comm = laziness_commutator(state)
-    p_rate = moment_rate(state, h, 2)
-    rates = {n: moment_rate(state, h, n) for n in ns}
-
-    mi_bound = None
-    if rho.is_pure(tol=PURITY_TOL):
-        mi = correlation_measures(rho).mutual_information
-        mi_bound = 4.0 * h_norm * np.sqrt(2.0 * max(mi, 0.0))
-
-    return RateReport(
-        entropy_rate=s_rate,
-        purity_rate=p_rate,
-        moment_rates=rates,
-        entropy_bound=h_norm * ln_comm_tn,
-        purity_bound=2.0 * h_norm * comm.trace_norm,
-        mi_purity_bound=mi_bound,
-        h_int_operator_norm=h_norm,
-        ln_commutator_trace_norm=ln_comm_tn,
-    )
+    h_norm = _operator_norm_hermitian(h)
+    report = _rate_report(_eigenbasis(_prepared(rho, regularize)), h, h_norm, ns)
+    if not rho.is_pure(tol=PURITY_TOL):
+        return report
+    mi = correlation_measures(rho).mutual_information
+    return replace(report, mi_purity_bound=4.0 * h_norm * np.sqrt(2.0 * max(mi, 0.0)))
 
 
 def witness_hamiltonian(
@@ -298,9 +374,9 @@ def witness_hamiltonian(
     interaction term without local components. With ``regularize`` the
     witness and prediction refer to the regularized state.
     """
-    state = _prepared(rho, regularize)
-    k = _log_commutator(state)
-    h_int = 1j * k
+    basis = _eigenbasis(_prepared(rho, regularize))
+    k = basis.ln_comm
+    h_int = basis.unrotate(1j * k)
     h_int = (h_int + linalg.dagger(h_int)) / 2
     predicted = -float(np.linalg.norm(k) ** 2)
     return h_int, predicted
@@ -309,12 +385,7 @@ def witness_hamiltonian(
 def negativity(rho: BipartiteState) -> float:
     """(||rho^{T_S}||_1 - 1) / 2, non-negative."""
     pt = linalg.partial_transpose_system(rho.matrix, rho.ds, rho.de)
-    return max(0.0, (linalg.trace_norm(pt) - 1.0) / 2.0)
-
-
-def _pure_vector(rho: BipartiteState) -> np.ndarray:
-    spec = linalg.hermitian_eig(rho.matrix, name="rho")
-    return spec.eigenvectors[:, -1]
+    return max(0.0, (_trace_norm_hermitian(pt) - 1.0) / 2.0)
 
 
 def correlation_measures(rho: BipartiteState) -> CorrelationReport:
@@ -333,7 +404,7 @@ def correlation_measures(rho: BipartiteState) -> CorrelationReport:
     if rho.is_pure(tol=PURITY_TOL):
         ent = s_sys
         disc = s_sys
-        chi = _pure_vector(rho)
+        chi = linalg.hermitian_eig(rho.matrix, name="rho").eigenvectors[:, -1]
         sd = schmidt_decompose(chi, rho.ds, rho.de)
         rob = float(sd.coefficients.sum() ** 2 - 1.0)
 
@@ -364,7 +435,7 @@ def pure_state_analytics(schmidt) -> PureStateAnalytics:
     is_lazy = bool(np.max(np.abs(p - 1.0 / s)) <= 1e-10)
 
     m = np.sqrt(np.outer(p, p)) * (p[:, None] - p[None, :])
-    tn = float(np.linalg.svd(m, compute_uv=False).sum())
+    tn = _trace_norm_hermitian(1j * m)  # i*M is Hermitian for real antisymmetric M
     entrywise = float(np.abs(m).sum())
     robustness = float(np.sqrt(p).sum() ** 2 - 1.0)
     return PureStateAnalytics(

@@ -303,6 +303,17 @@ def purify(rho, ancilla_basis: np.ndarray | None = None) -> tuple[np.ndarray, in
     return chi, d, da
 
 
+def _cluster_labels(w: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Cluster index of each eigenvalue in the sorted array w.
+
+    A gap between neighbours above cluster_tol (relative to the largest
+    magnitude) starts a new cluster; indices count up along w.
+    """
+    scale = max(float(np.abs(w).max()), 1e-300)
+    gaps = np.abs(np.diff(w)) > cluster_tol * scale
+    return np.concatenate(([0], np.cumsum(gaps)))
+
+
 def spectral_projection(rho, cluster_tol: float = CLUSTER_TOL) -> SpectralProjection:
     """Spectral projectors of rho with near-degenerate eigenvalues merged.
 
@@ -314,22 +325,10 @@ def spectral_projection(rho, cluster_tol: float = CLUSTER_TOL) -> SpectralProjec
     spec = linalg.hermitian_eig(mat)
     w = spec.eigenvalues[::-1]
     v = spec.eigenvectors[:, ::-1]
-    scale = max(float(np.abs(w).max()), 1e-300)
-    tol_abs = cluster_tol * scale
-
-    projectors: list[np.ndarray] = []
-    values: list[float] = []
-    mults: list[int] = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or (w[i - 1] - w[i]) > tol_abs:
-            block = v[:, start:i]
-            projectors.append(block @ linalg.dagger(block))
-            values.append(float(w[start:i].mean()))
-            mults.append(i - start)
-            start = i
+    labels = _cluster_labels(w, cluster_tol)
+    clusters = [labels == k for k in range(labels[-1] + 1)]
     return SpectralProjection(
-        projectors=tuple(projectors),
-        values=np.asarray(values),
-        multiplicities=tuple(mults),
+        projectors=tuple(v[:, c] @ linalg.dagger(v[:, c]) for c in clusters),
+        values=np.asarray([w[c].mean() for c in clusters]),
+        multiplicities=tuple(int(c.sum()) for c in clusters),
     )

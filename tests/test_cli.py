@@ -153,6 +153,17 @@ def test_analyze_csv_format():
     assert "correlations.negativity" in keys
 
 
+def test_analyze_multi_digit_moment_orders_sort_as_strings():
+    # moment orders are string keys: "10" sorts before "3" in JSON and CSV alike
+    args = ("analyze", str(GOLDEN / "schmidt_08_02.json"), str(GOLDEN / "hamiltonian_2x2.json"),
+            "--moments", "3,10")
+    text = run_cli(*args, "--json").stdout.decode()
+    assert list(json.loads(text)["rates"]["moment_rates"]) == ["10", "3"]
+    assert text.index('"10"') < text.index('"3"')
+    keys = [ln.split(",", 1)[0] for ln in run_cli(*args, "--csv").stdout.decode().split("\n")]
+    assert keys.index("rates.moment_rates.10") < keys.index("rates.moment_rates.3")
+
+
 def test_analyze_tol_override():
     proc = run_cli("analyze", str(GOLDEN / "schmidt_08_02.json"), "--tol", "1.0", "--json")
     payload = json.loads(proc.stdout)

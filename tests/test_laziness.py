@@ -10,6 +10,7 @@ from lazylab import (
     entropy_rate,
     finite_difference_rate,
     ginibre_mixed,
+    haar_random_unitary,
     kron,
     laziness_commutator,
     linalg,
@@ -490,3 +491,92 @@ def test_trivial_subsystems_are_lazy():
     no_env = BipartiteState(ds=3, de=1, matrix=ginibre_mixed(3, 3, 9))
     assert laziness_commutator(no_env).lazy
     assert pinching_residual(no_env) < 1e-10
+
+
+# ------------------------------------------- kernel against the definitions
+
+DEFINITION_DIMS = [(1, 3), (3, 1), (2, 3), (3, 2), (4, 4), (8, 8)]
+
+
+def _definition_cases():
+    cases = []
+    for k, (ds, de) in enumerate(DEFINITION_DIMS):
+        kinds = ["ginibre", "zerodiscord-equal", "product-maxmixed"]
+        kinds += ["pure"] if ds <= de else []
+        kinds += ["maxent"] if ds == de else []
+        cases += [pytest.param(kind, ds, de, 700 + 10 * k, id=f"{kind}-{ds}x{de}") for kind in kinds]
+    return cases
+
+
+def _definition_state(kind, ds, de, seed):
+    if kind == "ginibre":
+        return random_full_rank_state(ds, de, seed)
+    if kind == "pure":
+        return random_pure_bipartite(ds, de, seed)
+    if kind == "maxent":
+        return maximally_entangled(ds)
+    if kind == "zerodiscord-equal":  # rho_S = I/ds, in a random local basis
+        basis = haar_random_unitary(ds, derive_rng(seed, 0))
+        envs = [ginibre_mixed(de, de, derive_rng(seed, j + 1)) for j in range(ds)]
+        return zero_discord_state([1.0 / ds] * ds, list(basis.T), envs)
+    return product_state(np.eye(ds) / ds, ginibre_mixed(de, de, seed))
+
+
+def _assert_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+
+@pytest.mark.parametrize("kind, ds, de, seed", _definition_cases())
+def test_eigenbasis_kernel_matches_literal_definitions(kind, ds, de, seed):
+    st = _definition_state(kind, ds, de, seed)
+    h = random_hermitian(ds * de, seed + 1)
+    eye_e = np.eye(de)
+
+    def lifted_commutator(op_s):
+        return linalg.commutator(kron(op_s, eye_e), st.matrix)
+
+    c = lifted_commutator(st.rho_s)
+    k = lifted_commutator(linalg.matrix_log(st.rho_s))
+    h_norm = linalg.operator_norm(h)
+
+    report = laziness_commutator(st)
+    _assert_close(report.commutator, c)
+    _assert_close(report.trace_norm, linalg.trace_norm(c))
+    _assert_close(report.frobenius_norm, np.linalg.norm(c))
+
+    s_rate = (-1j * np.trace(h @ k)).real
+    _assert_close(entropy_rate(st, h), s_rate)
+    m_rates = {
+        n: (1j * n * np.trace(h @ lifted_commutator(np.linalg.matrix_power(st.rho_s, n - 1)))).real
+        for n in range(1, 5)
+    }
+    for n, expected in m_rates.items():
+        _assert_close(moment_rate(st, h, n), expected)
+
+    bounds = rate_bounds(st, h, ns=(3, 4))
+    _assert_close(bounds.entropy_rate, s_rate)
+    _assert_close(bounds.purity_rate, m_rates[2])
+    assert sorted(bounds.moment_rates) == [3, 4]
+    for n in (3, 4):
+        _assert_close(bounds.moment_rates[n], m_rates[n])
+    _assert_close(bounds.h_int_operator_norm, h_norm)
+    _assert_close(bounds.ln_commutator_trace_norm, linalg.trace_norm(k))
+    _assert_close(bounds.entropy_bound, h_norm * linalg.trace_norm(k))
+    _assert_close(bounds.purity_bound, 2.0 * h_norm * linalg.trace_norm(c))
+    if st.is_pure():
+        mi = (von_neumann_entropy(st.rho_s) + von_neumann_entropy(st.rho_e)
+              - von_neumann_entropy(st.matrix))
+        _assert_close(bounds.mi_purity_bound, 4.0 * h_norm * np.sqrt(2.0 * max(mi, 0.0)))
+    else:
+        assert bounds.mi_purity_bound is None
+
+    witness, predicted = witness_hamiltonian(st)
+    _assert_close(witness, (1j * k + linalg.dagger(1j * k)) / 2)
+    _assert_close(predicted, -np.linalg.norm(k) ** 2)
+
+    proj = spectral_projection(st.rho_s)
+    pinched = sum(kron(p, eye_e) @ st.matrix @ kron(p, eye_e) for p in proj.projectors)
+    _assert_close(spectral_pinch(st, proj).matrix, pinched)
+    _assert_close(pinching_residual(st), linalg.trace_norm(st.matrix - pinched))
