@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -257,7 +258,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lazy-lab argument parser, built on first use and then shared.
+
+    Parsing leaves the parser unchanged, so every main() call in a
+    process reuses this one.
+    """
     parser = argparse.ArgumentParser(
         prog="lazy-lab",
         description="Entropy/purity rates, lazy-state analysis and decoherence bounds "

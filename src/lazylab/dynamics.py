@@ -176,7 +176,7 @@ def record_trajectory(
 
     triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
-    h_int = _check_h_int(rho0, triple.h_int)
+    h_int = _check_h_int(rho0.dim, triple.h_int)
     h_norm = _operator_norm_hermitian(h_int)
 
     records = []
@@ -186,8 +186,12 @@ def record_trajectory(
         )
         mat = u @ rho0.matrix @ linalg.dagger(u)
         state = BipartiteState(ds=rho0.ds, de=rho0.de, matrix=(mat + linalg.dagger(mat)) / 2)
-        basis = _eigenbasis(state)
-        rate_basis = basis if regularize is None else _eigenbasis(regularize_state(state, regularize))
+        basis = _eigenbasis(state.matrix, state.ds)
+        rate_basis = (
+            basis
+            if regularize is None
+            else _eigenbasis(regularize_state(state, regularize).matrix, state.ds)
+        )
         report = _rate_report(rate_basis, h_int, h_norm, ns)
         records.append(
             TrajectoryRecord(

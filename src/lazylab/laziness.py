@@ -13,6 +13,10 @@ where [f(rho_S) (x) I, rho_SE] is the Hadamard product
 (the Daleckii-Krein form): f = x, ln and x^(N-1) give the laziness
 commutator, the entropy rate and the moment rates. Commutators are
 anti-Hermitian, so their trace norms are sum |eigvalsh(i C)|.
+
+The kernel also takes states stacked along leading axes (the Monte Carlo
+protocols evaluate their samples that way); every per-state check then
+runs on each state, and its error carries the failing state's ``index``.
 """
 
 from __future__ import annotations
@@ -100,26 +104,33 @@ class PureStateAnalytics:
     robustness: float
 
 
-def _trace_norm_hermitian(m: np.ndarray) -> float:
+def _per_matrix(x):
+    """A Python float for one matrix's value, the array itself for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _trace_norm_hermitian(m: np.ndarray):
     """||m||_1 = sum |eigenvalues| of a Hermitian m (pass i*C for anti-Hermitian C)."""
-    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    return _per_matrix(np.abs(np.linalg.eigvalsh(m)).sum(axis=-1))
 
 
-def _operator_norm_hermitian(m: np.ndarray) -> float:
+def _operator_norm_hermitian(m: np.ndarray):
     """||m|| = max |eigenvalue| of a Hermitian m."""
-    return float(np.abs(np.linalg.eigvalsh(m)).max())
+    return _per_matrix(np.abs(np.linalg.eigvalsh(m)).max(axis=-1))
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+def _trace_product(a: np.ndarray, b: np.ndarray):
     """tr(a b) without forming the product."""
-    return complex(np.sum(a.T * b))
+    return np.sum(np.swapaxes(a, -1, -2) * b, axis=(-2, -1))
 
 
 def _lifted_sandwich(a: np.ndarray, op: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a (x) I_E) op (b (x) I_E) for system-space a and b, without the krons."""
-    ds, dim = a.shape[0], op.shape[0]
-    left = (a @ op.reshape(ds, -1)).reshape(dim, ds, -1)
-    return (b.T @ left).reshape(dim, dim)
+    ds, dim = a.shape[-1], op.shape[-1]
+    left = a @ op.reshape(*op.shape[:-2], ds, -1)
+    left = left.reshape(*left.shape[:-2], dim, ds, -1)
+    out = np.swapaxes(b, -1, -2)[..., None, :, :] @ left
+    return out.reshape(*out.shape[:-3], dim, dim)
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,7 @@ class _Eigenbasis:
     """rho_SE in the eigenbasis of rho_S = u diag(lam) u†: ``lam`` ascends and
     ``rho`` is the Hermitian rho' = (u (x) I)† rho_SE (u (x) I). Norms and
     traces of products are the same in this basis as in the original one.
+    Leading axes of every field stack states.
     """
 
     lam: np.ndarray
@@ -140,14 +152,14 @@ class _Eigenbasis:
         return _lifted_sandwich(self.u, op, linalg.dagger(self.u))
 
     def weigh_blocks(self, w: np.ndarray) -> np.ndarray:
-        """rho' with its (i, j) system block multiplied by w[i, j]."""
-        ds, dim = self.lam.size, self.rho.shape[0]
-        blocks = self.rho.reshape(ds, dim // ds, ds, dim // ds)
-        return (w[:, None, :, None] * blocks).reshape(dim, dim)
+        """rho' with its (i, j) system block multiplied by w[..., i, j]."""
+        ds, dim = self.lam.shape[-1], self.rho.shape[-1]
+        blocks = self.rho.reshape(*self.rho.shape[:-2], ds, dim // ds, ds, dim // ds)
+        return (w[..., :, None, :, None] * blocks).reshape(self.rho.shape)
 
     def commutator(self, f_lam: np.ndarray) -> np.ndarray:
         """[f(rho_S) (x) I, rho_SE] in this basis, given f at each lam."""
-        return self.weigh_blocks(f_lam[:, None] - f_lam[None, :])
+        return self.weigh_blocks(f_lam[..., :, None] - f_lam[..., None, :])
 
     @cached_property
     def comm(self) -> np.ndarray:
@@ -155,33 +167,39 @@ class _Eigenbasis:
         return self.commutator(self.lam)
 
     @cached_property
-    def comm_trace_norm(self) -> float:
+    def comm_trace_norm(self):
         return _trace_norm_hermitian(1j * self.comm)
 
     @cached_property
     def ln_comm(self) -> np.ndarray:
         """K = [ln(rho_S) (x) I, rho_SE]; refused below the log floor."""
-        lam_min = float(self.lam[0])
-        if lam_min < linalg.LOG_EIGENVALUE_FLOOR:
-            raise RankDeficientStateError(
-                f"rho_S has eigenvalue {lam_min:.3e} below "
-                f"{linalg.LOG_EIGENVALUE_FLOOR:.1e}; pass regularize=delta to mix "
-                f"with the maximally mixed state first"
-            )
+        lam_min = self.lam[..., 0]
+        linalg._raise_first(
+            lam_min < linalg.LOG_EIGENVALUE_FLOOR,
+            RankDeficientStateError,
+            lambda i: f"rho_S has eigenvalue {lam_min[i]:.3e} below "
+            f"{linalg.LOG_EIGENVALUE_FLOOR:.1e}; pass regularize=delta to mix "
+            f"with the maximally mixed state first",
+        )
         return self.commutator(np.log(self.lam))
 
 
-def _eigenbasis(rho: BipartiteState) -> _Eigenbasis:
-    spec = linalg.hermitian_eig(rho.rho_s, name="rho_S")
+def _eigenbasis(mat: np.ndarray, ds: int) -> _Eigenbasis:
+    """The rho_S eigenbasis of the validated state(s) ``mat`` with system dimension ds."""
+    spec = linalg.hermitian_eig(
+        linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"), name="rho_S"
+    )
     u = spec.eigenvectors
-    rot = _lifted_sandwich(linalg.dagger(u), rho.matrix, u)
+    rot = _lifted_sandwich(linalg.dagger(u), mat, u)
     return _Eigenbasis(lam=spec.eigenvalues, u=u, rho=(rot + linalg.dagger(rot)) / 2)
 
 
-def _spectral_entropy(lam: np.ndarray) -> float:
+def _spectral_entropy(lam: np.ndarray):
+    """-sum lam ln lam over the last axis, with 0 ln 0 = 0."""
     lam = np.clip(lam, 0.0, 1.0)
-    nz = lam[lam > 0.0]
-    return float(-(nz * np.log(nz)).sum()) + 0.0  # normalize -0.0
+    pos = lam > 0.0
+    terms = np.where(pos, lam * np.log(np.where(pos, lam, 1.0)), 0.0)
+    return _per_matrix(-terms.sum(axis=-1) + 0.0)  # normalize -0.0
 
 
 def _moment_order(n) -> int:
@@ -196,7 +214,7 @@ def _power_sums(lam: np.ndarray, ns) -> dict[int, float]:
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 = 0."""
+    """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 = 0 (an array for stacked rho)."""
     mat = linalg.require_hermitian(rho, name="rho")
     return _spectral_entropy(np.linalg.eigvalsh(mat))
 
@@ -215,7 +233,7 @@ def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> Commut
     """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
     if tol is None:
         tol = default_lazy_tolerance(rho)
-    basis = _eigenbasis(rho)
+    basis = _eigenbasis(rho.matrix, rho.ds)
     tn = basis.comm_trace_norm
     return CommutatorReport(
         commutator=basis.unrotate(basis.comm),
@@ -252,7 +270,7 @@ def pinching_residual(rho: BipartiteState, cluster_tol: float = 1e-8) -> float:
     eigenbasis of rho_S the residual is rho' restricted to the blocks
     whose eigenvalues fall in different clusters.
     """
-    basis = _eigenbasis(rho)
+    basis = _eigenbasis(rho.matrix, rho.ds)
     labels = _cluster_labels(basis.lam, cluster_tol)
     return _trace_norm_hermitian(basis.weigh_blocks(labels[:, None] != labels[None, :]))
 
@@ -270,18 +288,20 @@ def _prepared(rho: BipartiteState, regularize: float | None) -> BipartiteState:
     return rho if regularize is None else regularize_state(rho, regularize)
 
 
-def _require_real(value: complex, *, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real) + 0.0  # normalize -0.0
+def _require_real(value, *, what: str):
+    imag = value.imag
+    linalg._raise_first(
+        abs(imag) > IMAG_TOL,
+        ValueError,
+        lambda i: f"{what} has imaginary residue {imag[i]:.3e}",
+    )
+    return _per_matrix(value.real + 0.0)  # normalize -0.0
 
 
-def _check_h_int(rho: BipartiteState, h_int) -> np.ndarray:
+def _check_h_int(dim: int, h_int) -> np.ndarray:
     h = linalg.require_hermitian(h_int, name="h_int")
-    if h.shape != (rho.dim, rho.dim):
-        raise ValueError(
-            f"h_int shape {h.shape} does not match the state dimension {rho.dim}"
-        )
+    if h.shape[-2:] != (dim, dim):
+        raise ValueError(f"h_int shape {h.shape} does not match the state dimension {dim}")
     return h
 
 
@@ -298,7 +318,10 @@ def _moment_rate(basis: _Eigenbasis, h_rot: np.ndarray, n) -> float:
 def _rate_report(
     basis: _Eigenbasis, h: np.ndarray, h_norm: float, ns: tuple[int, ...]
 ) -> RateReport:
-    """Rates and bounds of the basis' state for the (checked) interaction h."""
+    """Rates and bounds of the basis' state for the (checked) interaction h.
+
+    For stacked (state, h) pairs every field holds one value per pair.
+    """
     h_rot = basis.rotate(h)
     ln_comm_tn = _trace_norm_hermitian(1j * basis.ln_comm)
     return RateReport(
@@ -320,8 +343,8 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
     first mixed as (1-delta) rho + delta I/dim. The result is exact for
     arbitrary coupling strength and needs no Markovian assumption.
     """
-    h = _check_h_int(rho, h_int)
-    basis = _eigenbasis(_prepared(rho, regularize))
+    h = _check_h_int(rho.dim, h_int)
+    basis = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
     return _entropy_rate(basis, basis.rotate(h))
 
 
@@ -330,11 +353,12 @@ def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
 
     N = 1 returns zero identically (trace preservation); N = 2 is the
     purity rate. Well-defined for rank-deficient rho_S, unlike the
-    entropy rate.
+    entropy rate. ``h_int`` may stack couplings along leading axes; the
+    rates then come back as an array, all from one rho_S eigenbasis.
     """
     n = _moment_order(n)
-    h = _check_h_int(rho, h_int)
-    basis = _eigenbasis(rho)
+    h = _check_h_int(rho.dim, h_int)
+    basis = _eigenbasis(rho.matrix, rho.ds)
     return _moment_rate(basis, basis.rotate(h), n)
 
 
@@ -354,13 +378,23 @@ def rate_bounds(
     purity_bound = 2 ||H_int|| ||C||_1, and for pure total states also
     mi_purity_bound = 4 ||H_int|| sqrt(2 I).
     """
-    h = _check_h_int(rho, h_int)
+    h = _check_h_int(rho.dim, h_int)
     h_norm = _operator_norm_hermitian(h)
-    report = _rate_report(_eigenbasis(_prepared(rho, regularize)), h, h_norm, ns)
+    report = _rate_report(_eigenbasis(_prepared(rho, regularize).matrix, rho.ds), h, h_norm, ns)
     if not rho.is_pure(tol=PURITY_TOL):
         return report
-    mi = correlation_measures(rho).mutual_information
-    return replace(report, mi_purity_bound=4.0 * h_norm * np.sqrt(2.0 * max(mi, 0.0)))
+    return replace(report, mi_purity_bound=_mi_purity_bound(rho.matrix, rho.ds, h_norm))
+
+
+def _mi_purity_bound(mat: np.ndarray, ds: int, h_norm):
+    """4 ||H_int|| sqrt(2 I(S:E)), the purity-rate bound for a pure total state mat."""
+    de = mat.shape[-1] // ds
+    mi = (
+        von_neumann_entropy(linalg.partial_trace(mat, ds, de, keep="system"))
+        + von_neumann_entropy(linalg.partial_trace(mat, ds, de, keep="environment"))
+        - von_neumann_entropy(mat)
+    )
+    return _per_matrix(4.0 * h_norm * np.sqrt(2.0 * np.maximum(mi, 0.0)))
 
 
 def witness_hamiltonian(
@@ -374,7 +408,7 @@ def witness_hamiltonian(
     interaction term without local components. With ``regularize`` the
     witness and prediction refer to the regularized state.
     """
-    basis = _eigenbasis(_prepared(rho, regularize))
+    basis = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
     k = basis.ln_comm
     h_int = basis.unrotate(1j * k)
     h_int = (h_int + linalg.dagger(h_int)) / 2

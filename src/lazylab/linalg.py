@@ -23,37 +23,64 @@ HERMITICITY_RTOL = 1e-10
 LOG_EIGENVALUE_FLOOR = 1e-12
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting non-finite entries."""
+def _complex_stack(m) -> np.ndarray:
+    """Coerce to a complex array of one or more (stacked) matrices, rejecting non-finite entries."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
+    if arr.ndim < 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return arr
 
 
+def as_complex_matrix(m) -> np.ndarray:
+    """Coerce to a 2-D complex array, rejecting non-finite entries."""
+    arr = _complex_stack(m)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    return arr
+
+
+def _raise_first(bad, exc_type: type[Exception], message: Callable[[tuple], str]) -> None:
+    """Raise exc_type(message(i)) for the first matrix i that ``bad`` flags.
+
+    ``bad`` is a numpy bool with one flag per matrix over the leading
+    (stack) axes, a scalar for a single matrix, where i is then (). For a
+    stack the error's ``index`` is the failing matrix's position in the
+    flattened stack.
+    """
+    if not bad.any():
+        return
+    pos = int(np.flatnonzero(bad)[0])
+    exc = exc_type(message(np.unravel_index(pos, np.shape(bad))))
+    if np.ndim(bad):
+        exc.index = pos
+    raise exc
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def require_hermitian(m, *, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within HERMITICITY_RTOL and return (m + m†)/2.
 
     The symmetrized matrix is returned so downstream eigensolves are not
-    polluted by the roundoff the tolerance was meant to absorb.
+    polluted by the roundoff the tolerance was meant to absorb. Leading
+    axes stack matrices, each checked on its own (see _raise_first).
     """
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
+    arr = _complex_stack(m)
+    if arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    defect = np.linalg.norm(arr - dagger(arr))
-    if defect > HERMITICITY_RTOL * (1.0 + np.linalg.norm(arr)):
-        raise ValueError(
-            f"{name} is not Hermitian: ||m - m†||_F = {defect:.3e} "
-            f"exceeds tolerance"
-        )
-    return (arr + dagger(arr)) / 2.0
+    adj = dagger(arr)
+    defect = np.linalg.norm(arr - adj, axis=(-2, -1))
+    _raise_first(
+        defect > HERMITICITY_RTOL * (1.0 + np.linalg.norm(arr, axis=(-2, -1))),
+        ValueError,
+        lambda i: f"{name} is not Hermitian: ||m - m†||_F = {defect[i]:.3e} exceeds tolerance",
+    )
+    return (arr + adj) / 2.0
 
 
 def kron(a, b) -> np.ndarray:
@@ -66,19 +93,20 @@ def partial_trace(m, d_system: int, d_env: int, keep: str = "system") -> np.ndar
 
     ``keep="system"`` returns the d_system x d_system matrix tr_E(m);
     ``keep="environment"`` returns tr_S(m). The global trace is preserved.
+    Leading axes stack operators.
     """
-    mat = as_complex_matrix(m)
+    mat = _complex_stack(m)
     dim = d_system * d_env
-    if mat.shape != (dim, dim):
+    if mat.shape[-2:] != (dim, dim):
         raise ValueError(
             f"matrix shape {mat.shape} does not match dims "
             f"({d_system}, {d_env}) -> ({dim}, {dim})"
         )
-    t = mat.reshape(d_system, d_env, d_system, d_env)
+    t = mat.reshape(*mat.shape[:-2], d_system, d_env, d_system, d_env)
     if keep == "system":
-        return np.einsum("iaja->ij", t)
+        return np.einsum("...iaja->...ij", t)
     if keep == "environment":
-        return np.einsum("aiaj->ij", t)
+        return np.einsum("...aiaj->...ij", t)
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
@@ -109,7 +137,7 @@ class HermitianSpectrum:
 
 
 def hermitian_eig(h, *, name: str = "matrix") -> HermitianSpectrum:
-    """Eigendecompose a Hermitian matrix (ascending eigenvalues)."""
+    """Eigendecompose a Hermitian matrix (ascending eigenvalues); leading axes stack matrices."""
     sym = require_hermitian(h, name=name)
     w, v = np.linalg.eigh(sym)
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)

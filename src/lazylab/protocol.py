@@ -2,22 +2,45 @@
 
 These are the batch experiments the CLI fronts. All of them derive
 per-trial generators from one seed, so results are reproducible and
-independent of evaluation order.
+independent of evaluation order. The draws run trial by trial; the
+linear algebra runs on the samples stacked into (n, dim, dim) arrays,
+one chunk of trials at a time.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .dynamics import decompose_hamiltonian, finite_difference_rate
-from .laziness import laziness_commutator, moment_rate, rate_bounds
-from .states import BipartiteState, derive_rng, ginibre_mixed, haar_random_pure, pure_state, random_hermitian
+from .laziness import (
+    PURITY_TOL,
+    _check_h_int,
+    _eigenbasis,
+    _mi_purity_bound,
+    _operator_norm_hermitian,
+    _rate_report,
+    moment_rate,
+)
+from .states import (
+    BipartiteState,
+    derive_rng,
+    ginibre_mixed,
+    haar_random_pure,
+    random_hermitian,
+    validate_density_matrix,
+)
 
 DEFAULT_DETECT_THRESHOLD = 1e-8
 DEFAULT_LAZY_TOL = 1e-10
+
+# Complex entries of one stacked (n, dim, dim) array (1 MiB): trials are
+# evaluated in chunks of n = _CHUNK_ENTRIES // dim**2, so memory stays
+# bounded however many samples are asked for.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,14 +84,36 @@ class SweepRow:
     mi_purity_bound: float | None
 
 
-def random_interaction(dim: int, ds: int, de: int, rng) -> np.ndarray:
-    """GUE coupling reduced to traceless-partial-trace form, operator norm 1."""
-    h = random_hermitian(dim, rng)
-    h_int = decompose_hamiltonian(h, ds, de).h_int
-    nrm = linalg.operator_norm(h_int)
-    if nrm == 0.0:
-        raise ValueError("sampled interaction collapsed to zero")
-    return h_int / nrm
+def _unit_couplings(dim: int, ds: int, de: int, rngs) -> np.ndarray:
+    """GUE couplings reduced to traceless-partial-trace form, operator norm 1.
+
+    One coupling per generator in ``rngs``, drawn in order and stacked.
+    """
+    hs = np.stack([decompose_hamiltonian(random_hermitian(dim, rng), ds, de).h_int for rng in rngs])
+    nrm = _operator_norm_hermitian(hs)
+    linalg._raise_first(nrm == 0.0, ValueError, lambda i: "sampled interaction collapsed to zero")
+    return hs / nrm[:, None, None]
+
+
+def _trial_chunks(samples: int, dim: int) -> list[range]:
+    """Consecutive ranges of trials whose stacked arrays fit _CHUNK_ENTRIES."""
+    step = max(1, _CHUNK_ENTRIES // dim**2)
+    return [range(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
+
+
+@contextmanager
+def _naming_trials(trials):
+    """Prefix the failing trial to an error from a stacked per-sample check.
+
+    Stacked checks store the failing sample's position in ``index``;
+    ``trials`` maps positions to trial numbers.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        if not hasattr(exc, "index"):
+            raise
+        raise type(exc)(f"trial {trials[exc.index]}: {exc}") from exc
 
 
 def detect_discord(
@@ -90,14 +135,14 @@ def detect_discord(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rates = []
-    for trial in range(samples):
-        rng = derive_rng(seed, trial)
-        h_int = random_interaction(rho.dim, rho.ds, rho.de, rng)
-        if use_fd:
-            rate = finite_difference_rate(rho, h_int, "moment", n=2, h=fd_step)
-        else:
-            rate = moment_rate(rho, h_int, 2)
-        rates.append(rate)
+    for trials in _trial_chunks(samples, rho.dim):
+        with _naming_trials(trials):
+            hs = _unit_couplings(rho.dim, rho.ds, rho.de, [derive_rng(seed, t) for t in trials])
+            if use_fd:
+                rates.extend(finite_difference_rate(rho, h, "moment", n=2, h=fd_step) for h in hs)
+            else:
+                # linear in the coupling: one commutator serves the whole stack
+                rates.extend(moment_rate(rho, hs, 2).tolist())
     max_abs = max(abs(r) for r in rates)
     return ProtocolVerdict(
         samples=samples,
@@ -127,15 +172,23 @@ def sparsity_scan(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    norms = []
-    for trial in range(samples):
-        if include is not None and trial == 0:
-            state = include
-        else:
-            rho = ginibre_mixed(ds * de, rank, derive_rng(seed, trial))
-            state = BipartiteState(ds=ds, de=de, matrix=rho)
-        norms.append(laziness_commutator(state).trace_norm)
-    arr = np.asarray(norms)
+    if include is not None and (include.ds, include.de) != (ds, de):
+        raise ValueError(
+            f"included state has dims ({include.ds}, {include.de}), "
+            f"the scan samples ({ds}, {de})"
+        )
+    dim = ds * de
+    arr = np.empty(samples)
+    for trials in _trial_chunks(samples, dim):
+        mats = np.stack([
+            include.matrix
+            if include is not None and trial == 0
+            else ginibre_mixed(dim, rank, derive_rng(seed, trial))
+            for trial in trials
+        ])
+        with _naming_trials(trials):
+            mats = validate_density_matrix(mats, name="bipartite state")
+            arr[trials.start : trials.stop] = _eigenbasis(mats, ds).comm_trace_norm
     hi = float(arr.max())
     edges = np.linspace(0.0, hi if hi > 0 else 1.0, bins + 1)
     counts, _ = np.histogram(arr, bins=edges)
@@ -162,26 +215,40 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    dim = ds * de
     rows = []
-    for trial in range(samples):
-        rng = derive_rng(seed, trial)
-        if trial % 2 == 1 and ds <= de:
-            rho = pure_state(haar_random_pure(ds * de, rng), ds, de)
-        else:
-            rho = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(ds * de, ds * de, rng))
-        h_int = random_interaction(ds * de, ds, de, rng)
-        report = rate_bounds(rho, h_int)
-        rows.append(
-            SweepRow(
-                sample=trial,
-                pure=rho.is_pure(),
-                entropy_rate=report.entropy_rate,
-                entropy_bound=report.entropy_bound,
-                entropy_slack=report.entropy_bound - abs(report.entropy_rate),
-                purity_rate=report.purity_rate,
-                purity_bound=report.purity_bound,
-                purity_slack=report.purity_bound - abs(report.purity_rate),
-                mi_purity_bound=report.mi_purity_bound,
-            )
+    for trials in _trial_chunks(samples, dim):
+        # each trial's generator draws its state first, then its coupling
+        rngs = [derive_rng(seed, trial) for trial in trials]
+        mats = []
+        for trial, rng in zip(trials, rngs):
+            if trial % 2 == 1 and ds <= de:
+                chi = haar_random_pure(dim, rng)
+                mats.append(np.outer(chi, chi.conj()))
+            else:
+                mats.append(ginibre_mixed(dim, dim, rng))
+        with _naming_trials(trials):
+            hs = _check_h_int(dim, _unit_couplings(dim, ds, de, rngs))
+            mats = validate_density_matrix(np.stack(mats), name="bipartite state")
+            h_norm = _operator_norm_hermitian(hs)
+            report = _rate_report(_eigenbasis(mats, ds), hs, h_norm, ())
+        pure = np.linalg.norm(mats, axis=(-2, -1)) ** 2 > 1.0 - PURITY_TOL
+        mi_bound = np.full(len(trials), np.nan)
+        if pure.any():
+            with _naming_trials(np.asarray(trials)[pure]):
+                mi_bound[pure] = _mi_purity_bound(mats[pure], ds, h_norm[pure])
+        er, eb = report.entropy_rate, report.entropy_bound
+        pr, pb = report.purity_rate, report.purity_bound
+        columns = (
+            trials,
+            pure.tolist(),
+            er.tolist(),
+            eb.tolist(),
+            (eb - np.abs(er)).tolist(),
+            pr.tolist(),
+            pb.tolist(),
+            (pb - np.abs(pr)).tolist(),
+            [b if p else None for p, b in zip(pure.tolist(), mi_bound.tolist())],
         )
+        rows.extend(SweepRow(*fields) for fields in zip(*columns))
     return rows

@@ -80,7 +80,7 @@ def dumps(sf: StateFile) -> str:
     payload = {
         "dims": [int(sf.ds), int(sf.de)],
         "kind": sf.kind,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.column_stack((flat.real, flat.imag)).tolist(),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 

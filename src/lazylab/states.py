@@ -34,19 +34,34 @@ def derive_rng(seed, *path: int) -> np.random.Generator:
 
 
 def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity (up to -tol)."""
-    mat = linalg.as_complex_matrix(rho)
-    if mat.shape[0] != mat.shape[1]:
+    """Check Hermiticity, unit trace and positivity (up to -tol).
+
+    Leading axes stack matrices, each checked on its own; an error names
+    the first failing one and, for a stack, carries its position as
+    ``index``.
+    """
+    mat = linalg._complex_stack(rho)
+    if mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    defect = np.linalg.norm(mat - linalg.dagger(mat))
-    if defect > tol * (1.0 + np.linalg.norm(mat)):
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    lam_min = float(np.linalg.eigvalsh((mat + linalg.dagger(mat)) / 2)[0])
-    if lam_min < -tol:
-        raise ValueError(f"{name} has negative eigenvalue {lam_min:.3e}")
+    adj = linalg.dagger(mat)
+    defect = np.linalg.norm(mat - adj, axis=(-2, -1))
+    linalg._raise_first(
+        defect > tol * (1.0 + np.linalg.norm(mat, axis=(-2, -1))),
+        ValueError,
+        lambda i: f"{name} is not Hermitian (defect {defect[i]:.3e})",
+    )
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    linalg._raise_first(
+        np.abs(tr - 1.0) > tol,
+        ValueError,
+        lambda i: f"{name} has trace {complex(tr[i]):.12g}, expected 1",
+    )
+    lam_min = np.linalg.eigvalsh((mat + adj) / 2)[..., 0]
+    linalg._raise_first(
+        lam_min < -tol,
+        ValueError,
+        lambda i: f"{name} has negative eigenvalue {lam_min[i]:.3e}",
+    )
     return mat
 
 

@@ -330,3 +330,26 @@ def test_sweep_no_negative_slack():
 def test_main_returns_exit_codes(tmp_path, capsys):
     assert main(["gen", "bell", "--out", str(tmp_path / "b.json")]) == 0
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
+
+
+def test_main_can_be_reused_in_process(tmp_path, capsys):
+    # one parser serves every call; nothing a call parses carries over to the next
+    h = str(GOLDEN / "hamiltonian_2x2.json")
+    argv = ["analyze", str(GOLDEN / "schmidt_08_02.json"), h, "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(GOLDEN / "bell.json"), "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert first == (GOLDEN / "analyze_schmidt_h.json").read_text()
+
+    chi = np.zeros(4, dtype=complex)
+    chi[0] = 1.0  # pure product state: rank-one rho_S needs --regularize
+    path = str(tmp_path / "prod_pure.json")
+    statefile.save(path, statefile.from_vector(chi, 2, 2))
+    assert main(["analyze", path, h, "--regularize", "1e-6", "--json"]) == 0
+    assert main(["analyze", path, h, "--json"]) == 3
+    assert "regularize" in capsys.readouterr().err

@@ -1,18 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lazylab import (
+    BipartiteState,
+    RankDeficientStateError,
     bound_sweep,
+    derive_rng,
     detect_discord,
     ginibre_mixed,
+    haar_random_pure,
+    laziness_commutator,
     maximally_entangled,
+    moment_rate,
     product_state,
     pure_state,
+    rate_bounds,
     sparsity_scan,
     zero_discord_state,
 )
+from lazylab import operator_norm, protocol
 
-from .conftest import schmidt_pure_vector
+from .conftest import random_interaction, schmidt_pure_vector
 
 
 def zero_discord_fixture():
@@ -110,3 +120,118 @@ def test_bound_sweep_no_negative_slack():
             assert row.mi_purity_bound is None
     assert any(row.pure for row in rows)
     assert any(not row.pure for row in rows)
+
+
+# ------------------------------------------------ stacked against per-sample
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * (1.0 + abs(b))
+
+
+def _unit_coupling(ds, de, rng):
+    h = random_interaction(ds, de, rng)
+    return h / operator_norm(h)  # the SVD norm checks the max |eigvalsh| one
+
+
+def _small_chunks(monkeypatch, dim):
+    # three trials per chunk, so the samples below span several chunks
+    monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", 3 * dim**2)
+
+
+@pytest.mark.parametrize("ds,de", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_stacked_protocols_match_single_state_functions(monkeypatch, ds, de):
+    dim, samples, seed = ds * de, 8, 40 + ds * de
+    _small_chunks(monkeypatch, dim)
+
+    lazy = product_state(ginibre_mixed(ds, ds, 1), ginibre_mixed(de, de, 2))
+    norms = [laziness_commutator(lazy).trace_norm] + [
+        laziness_commutator(
+            BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(dim, dim, derive_rng(seed, t)))
+        ).trace_norm
+        for t in range(1, samples)
+    ]
+    summary = sparsity_scan(ds, de, samples, rank=dim, seed=seed, lazy_tol=1e-3, include=lazy)
+    assert summary.count_below_tol == sum(n < 1e-3 for n in norms) == 1
+    assert _close(summary.median_trace_norm, float(np.median(norms)))
+    assert _close(summary.min_trace_norm, min(norms))
+    assert _close(summary.max_trace_norm, max(norms))
+    assert summary.histogram_counts == tuple(
+        np.histogram(norms, bins=np.linspace(0.0, max(norms), 21))[0].tolist()
+    )
+
+    state = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(dim, dim, seed))
+    verdict = detect_discord(state, samples, seed)
+    expected = [
+        moment_rate(state, _unit_coupling(ds, de, derive_rng(seed, t)), 2)
+        for t in range(samples)
+    ]
+    assert len(verdict.per_sample_rates) == samples
+    assert all(_close(a, b) for a, b in zip(verdict.per_sample_rates, expected))
+
+    rows = bound_sweep(ds, de, samples, seed)
+    assert [r.sample for r in rows] == list(range(samples))
+    for trial, row in enumerate(rows):
+        rng = derive_rng(seed, trial)
+        if trial % 2 == 1 and ds <= de:
+            rho = pure_state(haar_random_pure(dim, rng), ds, de)
+        else:
+            rho = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(dim, dim, rng))
+        report = rate_bounds(rho, _unit_coupling(ds, de, rng))
+        assert row.pure == rho.is_pure()
+        assert row.pure == (trial % 2 == 1 and ds <= de)
+        for name in ("entropy_rate", "entropy_bound", "purity_rate", "purity_bound"):
+            assert _close(getattr(row, name), getattr(report, name)), name
+        assert _close(row.entropy_slack, report.entropy_bound - abs(report.entropy_rate))
+        assert _close(row.purity_slack, report.purity_bound - abs(report.purity_rate))
+        if report.mi_purity_bound is None:
+            assert row.mi_purity_bound is None
+        else:
+            assert _close(row.mi_purity_bound, report.mi_purity_bound)
+
+
+def _fail_at(trial, bad, real):
+    """A sampler that returns ``bad`` on its call number ``trial`` and real draws otherwise."""
+    calls = iter(range(10**6))
+
+    def sampler(*args):
+        out = real(*args)
+        return bad if next(calls) == trial else out
+
+    return sampler
+
+
+NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("trial", [0, 4, 7])
+def test_stacked_checks_name_the_failing_trial(monkeypatch, trial):
+    _small_chunks(monkeypatch, 6)
+    not_psd = rf"^trial {trial}: bipartite state has negative eigenvalue"
+    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, NOT_PSD, ginibre_mixed))
+    with pytest.raises(ValueError, match=not_psd):
+        sparsity_scan(3, 2, samples=8, rank=6, seed=1)
+    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, NOT_PSD, ginibre_mixed))
+    with pytest.raises(ValueError, match=not_psd):
+        bound_sweep(3, 2, samples=8, seed=1)  # ds > de: every trial draws a Ginibre state
+
+    # rank-one rho_S: the log floor refuses the entropy rate of that trial only
+    rank_one_s = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, rank_one_s, ginibre_mixed))
+    with pytest.raises(RankDeficientStateError, match=rf"^trial {trial}: rho_S has eigenvalue"):
+        bound_sweep(3, 2, samples=8, seed=1)
+
+    state = BipartiteState(ds=3, de=2, matrix=ginibre_mixed(6, 6, 3))
+    real = protocol.decompose_hamiltonian
+    for h_int, error in [
+        (np.zeros((6, 6), dtype=complex), "sampled interaction collapsed to zero"),
+        (np.triu(np.ones((6, 6), dtype=complex)), "h_int is not Hermitian"),
+    ]:
+        bad = replace(real(np.eye(6), 3, 2), h_int=h_int)
+        monkeypatch.setattr(protocol, "decompose_hamiltonian", _fail_at(trial, bad, real))
+        with pytest.raises(ValueError, match=rf"^trial {trial}: {error}"):
+            detect_discord(state, samples=8, seed=1)
+
+
+def test_sparsity_scan_rejects_included_state_of_other_dims():
+    with pytest.raises(ValueError, match="dims"):
+        sparsity_scan(2, 3, samples=4, rank=6, seed=1, include=maximally_entangled(2))

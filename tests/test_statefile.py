@@ -103,7 +103,11 @@ def test_load_missing_file():
 
 def test_round_trip_preserves_exact_floats(tmp_path):
     rho = ginibre_mixed(4, 4, 123)
+    # signed zeros, the smallest subnormal and a huge value survive bit for bit
+    rho[0, 1], rho[1, 2], rho[2, 3] = complex(-0.0, 5e-324), complex(1e308, -0.0), -5e-324
     sf = statefile.StateFile(ds=2, de=2, kind="density", data=rho)
     text = statefile.dumps(sf)
+    assert "[-0.0,5e-324]" in text and "[1e+308,-0.0]" in text
     back = statefile.loads(text)
-    assert np.array_equal(back.data, rho)  # repr round-trip is exact
+    assert back.data.tobytes() == rho.tobytes()  # repr round-trip is exact
+    assert statefile.dumps(back) == text
