@@ -121,7 +121,7 @@ def _operator_norm_hermitian(m: np.ndarray):
 
 def _trace_product(a: np.ndarray, b: np.ndarray):
     """tr(a b) without forming the product."""
-    return np.sum(np.swapaxes(a, -1, -2) * b, axis=(-2, -1))
+    return (a.swapaxes(-1, -2) * b).sum(axis=(-2, -1))
 
 
 def _lifted_sandwich(a: np.ndarray, op: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,7 +129,7 @@ def _lifted_sandwich(a: np.ndarray, op: np.ndarray, b: np.ndarray) -> np.ndarray
     ds, dim = a.shape[-1], op.shape[-1]
     left = a @ op.reshape(*op.shape[:-2], ds, -1)
     left = left.reshape(*left.shape[:-2], dim, ds, -1)
-    out = np.swapaxes(b, -1, -2)[..., None, :, :] @ left
+    out = b.swapaxes(-1, -2)[..., None, :, :] @ left
     return out.reshape(*out.shape[:-3], dim, dim)
 
 
@@ -197,8 +197,7 @@ def _eigenbasis(mat: np.ndarray, ds: int) -> _Eigenbasis:
 def _spectral_entropy(lam: np.ndarray):
     """-sum lam ln lam over the last axis, with 0 ln 0 = 0."""
     lam = np.clip(lam, 0.0, 1.0)
-    pos = lam > 0.0
-    terms = np.where(pos, lam * np.log(np.where(pos, lam, 1.0)), 0.0)
+    terms = lam * np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
     return _per_matrix(-terms.sum(axis=-1) + 0.0)  # normalize -0.0
 
 

@@ -49,7 +49,7 @@ def _raise_first(bad, exc_type: type[Exception], message: Callable[[tuple], str]
     stack the error's ``index`` is the failing matrix's position in the
     flattened stack.
     """
-    if not bad.any():
+    if not (bad.any() if bad.ndim else bad):
         return
     pos = int(np.flatnonzero(bad)[0])
     exc = exc_type(message(np.unravel_index(pos, np.shape(bad))))
@@ -58,9 +58,14 @@ def _raise_first(bad, exc_type: type[Exception], message: Callable[[tuple], str]
     raise exc
 
 
+def _frobenius(m: np.ndarray):
+    """||m||_F of each matrix in m, a scalar for a single matrix."""
+    return np.linalg.norm(m) if m.ndim == 2 else np.linalg.norm(m, axis=(-2, -1))
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix, for a stack)."""
-    return np.swapaxes(np.asarray(m).conj(), -1, -2)
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def require_hermitian(m, *, name: str = "matrix") -> np.ndarray:
@@ -74,9 +79,9 @@ def require_hermitian(m, *, name: str = "matrix") -> np.ndarray:
     if arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     adj = dagger(arr)
-    defect = np.linalg.norm(arr - adj, axis=(-2, -1))
+    defect = _frobenius(arr - adj)
     _raise_first(
-        defect > HERMITICITY_RTOL * (1.0 + np.linalg.norm(arr, axis=(-2, -1))),
+        defect > HERMITICITY_RTOL * (1.0 + _frobenius(arr)),
         ValueError,
         lambda i: f"{name} is not Hermitian: ||m - m†||_F = {defect[i]:.3e} exceeds tolerance",
     )

@@ -232,7 +232,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
             mats = validate_density_matrix(np.stack(mats), name="bipartite state")
             h_norm = _operator_norm_hermitian(hs)
             report = _rate_report(_eigenbasis(mats, ds), hs, h_norm, ())
-        pure = np.linalg.norm(mats, axis=(-2, -1)) ** 2 > 1.0 - PURITY_TOL
+        pure = linalg._frobenius(mats) ** 2 > 1.0 - PURITY_TOL
         mi_bound = np.full(len(trials), np.nan)
         if pure.any():
             with _naming_trials(np.asarray(trials)[pure]):

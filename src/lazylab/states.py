@@ -44,15 +44,15 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     if mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     adj = linalg.dagger(mat)
-    defect = np.linalg.norm(mat - adj, axis=(-2, -1))
+    defect = linalg._frobenius(mat - adj)
     linalg._raise_first(
-        defect > tol * (1.0 + np.linalg.norm(mat, axis=(-2, -1))),
+        defect > tol * (1.0 + linalg._frobenius(mat)),
         ValueError,
         lambda i: f"{name} is not Hermitian (defect {defect[i]:.3e})",
     )
-    tr = np.trace(mat, axis1=-2, axis2=-1)
+    tr = mat.trace(axis1=-2, axis2=-1)
     linalg._raise_first(
-        np.abs(tr - 1.0) > tol,
+        abs(tr - 1.0) > tol,
         ValueError,
         lambda i: f"{name} has trace {complex(tr[i]):.12g}, expected 1",
     )
