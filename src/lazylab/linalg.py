@@ -24,7 +24,7 @@ LOG_EIGENVALUE_FLOOR = 1e-12
 
 
 def _complex_stack(m) -> np.ndarray:
-    """Coerce to a complex array of one or more (stacked) matrices, rejecting non-finite entries."""
+    """Coerce to a complex array of one or more stacked matrices, rejecting non-finite entries."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim < 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
@@ -52,8 +52,8 @@ def _raise_first(bad, exc_type: type[Exception], message: Callable[[tuple], str]
     if not (bad.any() if bad.ndim else bad):
         return
     pos = int(np.flatnonzero(bad)[0])
-    exc = exc_type(message(np.unravel_index(pos, np.shape(bad))))
-    if np.ndim(bad):
+    exc = exc_type(message(np.unravel_index(pos, bad.shape)))
+    if bad.ndim:
         exc.index = pos
     raise exc
 
@@ -73,7 +73,8 @@ def require_hermitian(m, *, name: str = "matrix") -> np.ndarray:
 
     The symmetrized matrix is returned so downstream eigensolves are not
     polluted by the roundoff the tolerance was meant to absorb. Leading
-    axes stack matrices, each checked on its own (see _raise_first).
+    axes stack matrices, each checked on its own; for a stack the error
+    carries the failing matrix's position as ``index``.
     """
     arr = _complex_stack(m)
     if arr.shape[-1] != arr.shape[-2]:
