@@ -29,6 +29,18 @@ from .states import BipartiteState
 FD_STEP = 1e-5
 
 
+def _env_diagonal(t: np.ndarray) -> np.ndarray:
+    """Writable view v[a, i, j] = t[i, a, j, a] of a (ds, de, ds, de) operator,
+    the entries where an h_s (x) I term adds h_s[i, j]."""
+    return np.einsum("iaja->aij", t)
+
+
+def _system_diagonal(t: np.ndarray) -> np.ndarray:
+    """Writable view v[i, a, b] = t[i, a, i, b] of a (ds, de, ds, de) operator,
+    the entries where an I (x) h_e term adds h_e[a, b]."""
+    return np.einsum("iaib->iab", t)
+
+
 @dataclass(frozen=True)
 class HamiltonianTriple:
     """H_tot = h_s (x) I + I (x) h_e + h_int with partial-traceless h_int."""
@@ -40,11 +52,11 @@ class HamiltonianTriple:
     def reassemble(self) -> np.ndarray:
         ds = self.h_s.shape[0]
         de = self.h_e.shape[0]
-        return (
-            linalg.kron(self.h_s, np.eye(de))
-            + linalg.kron(np.eye(ds), self.h_e)
-            + self.h_int
-        )
+        out = np.zeros((ds, de, ds, de), dtype=complex)
+        _env_diagonal(out)[...] = self.h_s
+        _system_diagonal(out)[...] += self.h_e
+        out += self.h_int.reshape(ds, de, ds, de)
+        return out.reshape(ds * de, ds * de)
 
 
 @dataclass(frozen=True)
@@ -81,12 +93,11 @@ def decompose_hamiltonian(h_tot, ds: int, de: int) -> HamiltonianTriple:
     a = linalg.partial_trace(h, ds, de, keep="system") / de
     b = linalg.partial_trace(h, ds, de, keep="environment") / ds
     c = float(np.trace(h).real) / dim
-    h_int = (
-        h
-        - linalg.kron(a, np.eye(de))
-        - linalg.kron(np.eye(ds), b)
-        + c * np.eye(dim)
-    )
+    t = h.reshape(ds, de, ds, de)  # h is a fresh array, so t can be written
+    _env_diagonal(t)[...] -= a
+    _system_diagonal(t)[...] -= b
+    h_int = t.reshape(dim, dim)
+    h_int.reshape(-1)[:: dim + 1] += c
     return HamiltonianTriple(
         h_s=a - (c / 2.0) * np.eye(ds),
         h_e=b - (c / 2.0) * np.eye(de),
@@ -164,9 +175,12 @@ def record_trajectory(
 
     Rates use the interaction part of the decomposed Hamiltonian; the
     local parts provably contribute nothing. Entropy-rate evaluation
-    requires full-rank rho_S at every sample (or ``regularize``). Each
-    sample diagonalizes rho_S once; that eigenbasis yields the reduced
-    observables, the commutator and every rate.
+    requires full-rank rho_S at every sample (or ``regularize``). The
+    state is evolved in the eigenbasis H_tot = V diag(E) V†: with
+    rho_h = V† rho0 V formed once, rho(t) = W rho_h W† for
+    W = V diag(exp(-i E t)). Each sample diagonalizes rho_S once; that
+    eigenbasis yields the reduced observables, the commutator and every
+    rate.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -178,13 +192,13 @@ def record_trajectory(
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
     h_int = _check_h_int(rho0.dim, triple.h_int)
     h_norm = _operator_norm_hermitian(h_int)
+    v = spec.eigenvectors
+    rho_h = linalg.dagger(v) @ rho0.matrix @ v
 
     records = []
     for t in ts:
-        u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * t)) @ linalg.dagger(
-            spec.eigenvectors
-        )
-        mat = u @ rho0.matrix @ linalg.dagger(u)
+        w = v * np.exp(-1j * spec.eigenvalues * t)
+        mat = w @ rho_h @ linalg.dagger(w)
         state = BipartiteState(ds=rho0.ds, de=rho0.de, matrix=(mat + linalg.dagger(mat)) / 2)
         basis = _eigenbasis(state.matrix, state.ds)
         rate_basis = (

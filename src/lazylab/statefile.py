@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -110,14 +111,18 @@ def loads(text: str) -> StateFile:
         raise StateFileError(f"kind must be one of {KINDS}, got {kind!r}")
 
     raw = payload["data"]
-    if not isinstance(raw, list) or not all(
-        isinstance(z, list) and len(z) == 2 for z in raw
+    if type(raw) is not list or not (
+        set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
     ):
         raise StateFileError("data must be a list of [re, im] pairs")
+    # int or float only (bool is its own type here): a float conversion
+    # would also accept strings, true/false and null
+    if not set(map(type, chain.from_iterable(raw))) <= {int, float}:
+        raise StateFileError("data entries must be JSON numbers")
     try:
-        flat = np.array([complex(float(z[0]), float(z[1])) for z in raw])
-    except (TypeError, ValueError) as exc:
-        raise StateFileError(f"non-numeric entry in data: {exc}") from exc
+        flat = np.fromiter(chain.from_iterable(raw), float, 2 * len(raw)).view(complex)
+    except OverflowError as exc:
+        raise StateFileError(f"data entry out of floating-point range: {exc}") from exc
 
     dim = ds * de
     if kind == "purevector":

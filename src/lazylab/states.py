@@ -36,9 +36,12 @@ def derive_rng(seed, *path: int) -> np.random.Generator:
 def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity (up to -tol).
 
-    Leading axes stack matrices, each checked on its own; an error names
-    the first failing one and, for a stack, carries its position as
-    ``index``.
+    Positivity is certified by a Cholesky factorization of
+    (rho + rho†)/2 + tol I, which exists only if lam_min >= -tol (up to
+    its backward error, about dim * eps); the eigenvalues are computed
+    only when that fails, and they decide. Leading axes stack matrices,
+    each checked on its own; an error names the first failing one and,
+    for a stack, carries its position as ``index``.
     """
     mat = linalg._complex_stack(rho)
     if mat.shape[-1] != mat.shape[-2]:
@@ -56,12 +59,18 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
         ValueError,
         lambda i: f"{name} has trace {complex(tr[i]):.12g}, expected 1",
     )
-    lam_min = np.linalg.eigvalsh((mat + adj) / 2)[..., 0]
-    linalg._raise_first(
-        lam_min < -tol,
-        ValueError,
-        lambda i: f"{name} has negative eigenvalue {lam_min[i]:.3e}",
-    )
+    shifted = (mat + adj) / 2
+    n = mat.shape[-1]
+    shifted.reshape(*mat.shape[:-2], n * n)[..., :: n + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lam_min = np.linalg.eigvalsh((mat + adj) / 2)[..., 0]
+        linalg._raise_first(
+            lam_min < -tol,
+            ValueError,
+            lambda i: f"{name} has negative eigenvalue {lam_min[i]:.3e}",
+        )
     return mat
 
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lazylab import (
     BipartiteState,
+    RankDeficientStateError,
     decompose_hamiltonian,
     derive_rng,
     entropy_rate,
@@ -11,15 +12,25 @@ from lazylab import (
     finite_difference_rate,
     ginibre_mixed,
     kron,
+    laziness_commutator,
     linalg,
     maximally_entangled,
+    moments,
     product_state,
     pure_state,
     random_hermitian,
+    rate_bounds,
     record_trajectory,
+    von_neumann_entropy,
 )
 
-from .conftest import SIGMA_X, SIGMA_Z, random_full_rank_state, schmidt_pure_vector
+from .conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    random_full_rank_state,
+    random_pure_bipartite,
+    schmidt_pure_vector,
+)
 
 
 # ------------------------------------------------------------- decompose
@@ -229,3 +240,44 @@ def test_trajectory_validates_times():
         record_trajectory(st, h, [0.3, 0.1])
     with pytest.raises(ValueError):
         record_trajectory(st, h, [])
+
+
+@pytest.mark.parametrize("regularize", [None, 1e-3])
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+@pytest.mark.parametrize("ds, de", [(2, 2), (2, 3), (3, 2), (8, 8)])
+def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
+    seed = 10 * ds + de
+    make = random_full_rank_state if kind == "mixed" else random_pure_bipartite
+    rho0 = make(ds, de, seed)
+    h_tot = random_hermitian(ds * de, seed + 1)
+    h_int = decompose_hamiltonian(h_tot, ds, de).h_int
+    times = np.array([0.0, 0.15, 0.6, 1.3])
+    ns = (3, 10)
+    if kind == "pure" and ds > de and regularize is None:
+        # rho_S has rank de < ds: both sides refuse the entropy rate
+        with pytest.raises(RankDeficientStateError):
+            record_trajectory(rho0, h_tot, times, ns=ns)
+        with pytest.raises(RankDeficientStateError):
+            rate_bounds(evolve_exact(rho0, h_tot, times[1]), h_int, ns)
+        return
+
+    traj = record_trajectory(rho0, h_tot, times, ns=ns, regularize=regularize)
+    assert_allclose(traj.times, times, rtol=0, atol=0)
+    for t, rec in zip(times, traj.records):
+        state = evolve_exact(rho0, h_tot, float(t))
+        power_sums = moments(state.rho_s, (2, *ns))
+        report = rate_bounds(state, h_int, ns, regularize=regularize)
+        expected = {
+            "entropy": von_neumann_entropy(state.rho_s),
+            "purity": power_sums[2],
+            "comm_trace_norm": laziness_commutator(state).trace_norm,
+            "entropy_rate": report.entropy_rate,
+            "entropy_bound": report.entropy_bound,
+            "purity_rate": report.purity_rate,
+            "purity_bound": report.purity_bound,
+        }
+        expected.update({f"moment_{n}": power_sums[n] for n in ns})
+        got = {name: getattr(rec, name) for name in expected if not name.startswith("moment")}
+        got.update({f"moment_{n}": rec.moment_values[n] for n in ns})
+        for name, want in expected.items():
+            assert abs(got[name] - want) <= 1e-12 * (1.0 + abs(want)), (t, name, got[name], want)

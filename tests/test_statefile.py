@@ -65,6 +65,21 @@ def test_loads_rejects_bad_schemas(payload):
         statefile.loads(payload)
 
 
+@pytest.mark.parametrize(
+    "entry", ['["1.0",0.0]', "[false,0.0]", "[1.0,true]", "[null,0.0]", "[[1.0],0.0]", '[{"re":1},0]']
+)
+def test_loads_accepts_only_json_numbers(entry):
+    with pytest.raises(StateFileError, match="JSON numbers"):
+        statefile.loads('{"dims":[1,1],"kind":"density","data":[' + entry + "]}")
+
+
+def test_loads_integer_entries():
+    sf = statefile.loads('{"dims":[1,1],"kind":"density","data":[[1,0]]}')
+    assert sf.data.dtype == complex and sf.data.tolist() == [[1 + 0j]]
+    with pytest.raises(StateFileError, match="range"):
+        statefile.loads('{"dims":[1,1],"kind":"density","data":[[' + "9" * 401 + ",0]]}")
+
+
 def test_loads_rejects_wrong_entry_count():
     text = statefile.dumps(statefile.from_vector(schmidt_pure_vector([0.5, 0.5]), 2, 2))
     broken = text.replace('"dims":[2,2]', '"dims":[2,3]')

@@ -284,6 +284,52 @@ def test_validate_density_matrix_rejects_bad_inputs():
         validate_density_matrix(np.diag([1.5, -0.5]))
 
 
+def _state_with_lam_min(d: int, lam_min: float, seed: int) -> np.ndarray:
+    """Unit-trace Hermitian matrix whose smallest eigenvalue is lam_min."""
+    rest = derive_rng(seed, 0).uniform(0.5, 1.5, d - 1)
+    lam = np.concatenate(([lam_min], rest * (1.0 - lam_min) / rest.sum()))
+    u = haar_random_unitary(d, derive_rng(seed, 1))
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+@pytest.mark.parametrize("margin", [-1e-2, 1e-2])
+def test_positivity_certificate_follows_the_eigenvalue_rule(d, margin):
+    # lam_min = -tol (1 + margin): a hair inside or outside the tolerance
+    tol = 1e-10
+    m = _state_with_lam_min(d, -tol * (1.0 + margin), seed=d)
+    lam = np.linalg.eigvalsh(m)[0]
+    accept = bool(lam >= -tol)
+    assert accept == (margin < 0)  # the construction landed on the intended side
+    message = f"rho has negative eigenvalue {lam:.3e}"
+
+    if accept:
+        assert validate_density_matrix(m, tol=tol).tobytes() == m.tobytes()
+    else:
+        with pytest.raises(ValueError) as exc:
+            validate_density_matrix(m, tol=tol)
+        assert str(exc.value) == message
+        assert not hasattr(exc.value, "index")
+
+    # the same state at position k of a stack of acceptable states
+    k = 3
+    stack = np.stack(
+        [_state_with_lam_min(d, -0.99 * tol if j % 2 else 0.1 / d, seed=d + j) for j in range(5)]
+    )
+    stack[k] = m
+    if accept:
+        assert validate_density_matrix(stack, tol=tol).tobytes() == stack.tobytes()
+    else:
+        with pytest.raises(ValueError) as exc:
+            validate_density_matrix(stack, tol=tol)
+        assert str(exc.value) == message
+        assert exc.value.index == k
+        with pytest.raises(ValueError) as exc:
+            validate_density_matrix(stack.reshape(1, 5, d, d), tol=tol)
+        assert exc.value.index == k
+
+
 def test_bipartite_state_dim_mismatch():
     with pytest.raises(ValueError):
         BipartiteState(ds=2, de=3, matrix=np.eye(4) / 4)
