@@ -18,6 +18,9 @@ from .laziness import (
     _eigenbasis,
     _operator_norm_hermitian,
     _power_sums,
+    _pure_vector,
+    _rank_one,
+    _rank_one_rate_report,
     _rate_report,
     _spectral_entropy,
     moments,
@@ -181,6 +184,12 @@ def record_trajectory(
     W = V diag(exp(-i E t)). Each sample diagonalizes rho_S once; that
     eigenbasis yields the reduced observables, the commutator and every
     rate.
+
+    Without ``regularize``, a pure rho0 = |chi><chi| (to within dim * eps)
+    is evolved as the vector chi(t) = W V† chi. Each sample still
+    validates |chi(t)><chi(t)|, but its only factorization is the
+    ds x ds rho_S = M M† of M = chi(t).reshape(ds, de): commutator norms
+    and rates are closed-form functions of rho_S's spectrum and flow.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -188,31 +197,48 @@ def record_trajectory(
     if np.any(np.diff(ts) < 0):
         raise ValueError("times must be sorted ascending")
 
-    triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
+    ds, de = rho0.ds, rho0.de
+    triple = decompose_hamiltonian(h_tot, ds, de)
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
     h_int = _check_h_int(rho0.dim, triple.h_int)
     h_norm = _operator_norm_hermitian(h_int)
     v = spec.eigenvectors
-    rho_h = linalg.dagger(v) @ rho0.matrix @ v
+    chi = _pure_vector(rho0.matrix) if regularize is None else None
+
+    if chi is not None:
+        chi_h = linalg.dagger(v) @ chi
+
+        def sample(t):
+            chi_t = v @ (np.exp(-1j * spec.eigenvalues * t) * chi_h)
+            # checked as a density matrix like every evolved state, then not needed
+            BipartiteState(ds=ds, de=de, matrix=np.outer(chi_t, chi_t.conj()))
+            pure = _rank_one(chi_t, ds)
+            return pure.lam, pure.comm_trace_norm, _rank_one_rate_report(pure, h_int, h_norm)
+
+    else:
+        rho_h = linalg.dagger(v) @ rho0.matrix @ v
+
+        def sample(t):
+            w = v * np.exp(-1j * spec.eigenvalues * t)
+            mat = w @ rho_h @ linalg.dagger(w)
+            state = BipartiteState(ds=ds, de=de, matrix=(mat + linalg.dagger(mat)) / 2)
+            basis = _eigenbasis(state.matrix, ds)
+            rate_basis = (
+                basis
+                if regularize is None
+                else _eigenbasis(regularize_state(state, regularize).matrix, ds)
+            )
+            return basis.lam, basis.comm_trace_norm, _rate_report(rate_basis, h_int, h_norm, ())
 
     records = []
     for t in ts:
-        w = v * np.exp(-1j * spec.eigenvalues * t)
-        mat = w @ rho_h @ linalg.dagger(w)
-        state = BipartiteState(ds=rho0.ds, de=rho0.de, matrix=(mat + linalg.dagger(mat)) / 2)
-        basis = _eigenbasis(state.matrix, state.ds)
-        rate_basis = (
-            basis
-            if regularize is None
-            else _eigenbasis(regularize_state(state, regularize).matrix, state.ds)
-        )
-        report = _rate_report(rate_basis, h_int, h_norm, ns)
+        lam, comm_trace_norm, report = sample(t)
         records.append(
             TrajectoryRecord(
-                entropy=_spectral_entropy(basis.lam),
-                purity=float((basis.lam**2).sum()),
-                moment_values=_power_sums(basis.lam, ns),
-                comm_trace_norm=basis.comm_trace_norm,
+                entropy=_spectral_entropy(lam),
+                purity=float((lam**2).sum()),
+                moment_values=_power_sums(lam, ns),
+                comm_trace_norm=comm_trace_norm,
                 entropy_rate=report.entropy_rate,
                 entropy_bound=report.entropy_bound,
                 purity_rate=report.purity_rate,

@@ -27,7 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .states import BipartiteState, SpectralProjection, _cluster_labels, schmidt_decompose
+from .states import (
+    CLUSTER_TOL,
+    BipartiteState,
+    SpectralProjection,
+    _cluster_labels,
+    schmidt_decompose,
+)
 
 # lazy <=> trace norm of the commutator below tol; scaled with the total
 # dimension because the commutator entries accumulate O(dim) roundoff.
@@ -133,6 +139,19 @@ def _lifted_sandwich(a: np.ndarray, op: np.ndarray, b: np.ndarray) -> np.ndarray
     return out.reshape(*out.shape[:-3], dim, dim)
 
 
+def _log_spectrum(lam: np.ndarray) -> np.ndarray:
+    """ln of an ascending spectrum of rho_S, refused below the log floor."""
+    lam_min = lam[..., 0]
+    linalg._raise_first(
+        lam_min < linalg.LOG_EIGENVALUE_FLOOR,
+        RankDeficientStateError,
+        lambda i: f"rho_S has eigenvalue {lam_min[i]:.3e} below "
+        f"{linalg.LOG_EIGENVALUE_FLOOR:.1e}; pass regularize=delta to mix "
+        f"with the maximally mixed state first",
+    )
+    return np.log(lam)
+
+
 @dataclass(frozen=True)
 class _Eigenbasis:
     """rho_SE in the eigenbasis of rho_S = u diag(lam) u†: ``lam`` ascends and
@@ -173,15 +192,59 @@ class _Eigenbasis:
     @cached_property
     def ln_comm(self) -> np.ndarray:
         """K = [ln(rho_S) (x) I, rho_SE]; refused below the log floor."""
-        lam_min = self.lam[..., 0]
-        linalg._raise_first(
-            lam_min < linalg.LOG_EIGENVALUE_FLOOR,
-            RankDeficientStateError,
-            lambda i: f"rho_S has eigenvalue {lam_min[i]:.3e} below "
-            f"{linalg.LOG_EIGENVALUE_FLOOR:.1e}; pass regularize=delta to mix "
-            f"with the maximally mixed state first",
-        )
-        return self.commutator(np.log(self.lam))
+        return self.commutator(_log_spectrum(self.lam))
+
+
+def _rank_one_trace_norm(lam: np.ndarray, f_lam: np.ndarray):
+    """||[f(rho_S) (x) I, |chi><chi|]||_1 for a pure state whose rho_S has spectrum lam.
+
+    With a = (f(rho_S) (x) I) chi the commutator is |a><chi| - |chi><a|, in
+    which the component <f> chi of a along chi cancels, <f> = sum_j lam_j f(lam_j).
+    The rest is a rank-two operator with trace norm 2 ||a - <f> chi|| =
+    2 sqrt(sum_i lam_i (f(lam_i) - <f>)^2). The variance is summed over
+    deviations from the mean, so a uniform spectrum gives 0 and not sqrt(eps).
+    """
+    w = np.clip(lam, 0.0, None)  # eigensolver roundoff can leave -eps in place of 0
+    mean = (w * f_lam).sum(axis=-1, keepdims=True)
+    return _per_matrix(2.0 * np.sqrt((w * (f_lam - mean) ** 2).sum(axis=-1)))
+
+
+def _pure_vector(mat: np.ndarray) -> np.ndarray | None:
+    """chi with mat = |chi><chi| to within dim * eps in Frobenius norm, else None.
+
+    chi is the column of mat with the largest diagonal entry, divided by
+    the square root of that entry, so the test needs no factorization.
+    """
+    k = int(np.argmax(mat.diagonal().real))
+    chi = mat[:, k] / np.sqrt(mat[k, k].real)
+    if np.linalg.norm(mat - np.outer(chi, chi.conj())) > mat.shape[-1] * np.finfo(float).eps:
+        return None
+    return chi
+
+
+@dataclass(frozen=True)
+class _RankOne:
+    """A pure rho_SE = |chi><chi| through its Schmidt matrix M = chi.reshape(ds, de):
+    rho_S = M M† = u diag(lam) u† with ``lam`` ascending. Commutator norms
+    and rates are functions of lam and of rho_S's flow, so nothing of the
+    total dimension is factorized.
+    """
+
+    chi: np.ndarray
+    m: np.ndarray
+    lam: np.ndarray
+    u: np.ndarray
+
+    @cached_property
+    def comm_trace_norm(self) -> float:
+        return _rank_one_trace_norm(self.lam, self.lam)
+
+
+def _rank_one(chi: np.ndarray, ds: int) -> _RankOne:
+    """The Schmidt form of the unit vector chi with system dimension ds."""
+    m = chi.reshape(ds, -1)
+    spec = linalg.hermitian_eig(m @ linalg.dagger(m), name="rho_S")
+    return _RankOne(chi=chi, m=m, lam=spec.eigenvalues, u=spec.eigenvectors)
 
 
 def _eigenbasis(mat: np.ndarray, ds: int) -> _Eigenbasis:
@@ -261,7 +324,7 @@ def spectral_pinch(rho: BipartiteState, proj: SpectralProjection) -> BipartiteSt
     return BipartiteState(ds=rho.ds, de=rho.de, matrix=out.reshape(rho.dim, rho.dim))
 
 
-def pinching_residual(rho: BipartiteState, cluster_tol: float = 1e-8) -> float:
+def pinching_residual(rho: BipartiteState, cluster_tol: float = CLUSTER_TOL) -> float:
     """||rho - pinch(rho)||_1 with projectors from rho_S's own spectrum.
 
     Zero exactly on lazy states; both sides of that equivalence use the
@@ -329,6 +392,32 @@ def _rate_report(
         moment_rates={n: _moment_rate(basis, h_rot, n) for n in ns},
         entropy_bound=h_norm * ln_comm_tn,
         purity_bound=2.0 * h_norm * basis.comm_trace_norm,
+        mi_purity_bound=None,
+        h_int_operator_norm=h_norm,
+        ln_commutator_trace_norm=ln_comm_tn,
+    )
+
+
+def _rank_one_rate_report(pure: _RankOne, h: np.ndarray, h_norm: float) -> RateReport:
+    """Rates and bounds of a pure state for the (checked) interaction h.
+
+    The rate of tr g(rho_S) is tr(g'(rho_S) d rho_S/dt), the sum of g'(lam_i)
+    over the diagonal of u† (d rho_S/dt) u, where
+    d rho_S/dt = i (M Phi† - Phi M†) with Phi = (h chi).reshape(ds, de);
+    the local parts of H_tot add a commutator with rho_S, which these
+    traces do not see. The bounds use the closed-form trace norms.
+    """
+    ln_lam = _log_spectrum(pure.lam)
+    phi = (h @ pure.chi).reshape(pure.m.shape)
+    y = pure.m @ linalg.dagger(phi)
+    flow = np.einsum("ji,jk,ki->i", pure.u.conj(), 1j * (y - linalg.dagger(y)), pure.u)
+    ln_comm_tn = _rank_one_trace_norm(pure.lam, ln_lam)
+    return RateReport(
+        entropy_rate=_require_real(-(ln_lam * flow).sum(), what="entropy rate"),
+        purity_rate=_require_real(2.0 * (pure.lam * flow).sum(), what="moment-2 rate"),
+        moment_rates={},
+        entropy_bound=h_norm * ln_comm_tn,
+        purity_bound=2.0 * h_norm * pure.comm_trace_norm,
         mi_purity_bound=None,
         h_int_operator_norm=h_norm,
         ln_commutator_trace_norm=ln_comm_tn,
@@ -458,7 +547,8 @@ def pure_state_analytics(schmidt) -> PureStateAnalytics:
 
     The commutator of |chi><chi| lives on the span of the Schmidt product
     vectors, where it acts as the antisymmetric matrix
-    M_ik = sqrt(p_i p_k)(p_i - p_k); its trace norm, the entrywise
+    M_ik = sqrt(p_i p_k)(p_i - p_k); its trace norm
+    2 sqrt(sum_i p_i (p_i - sum_k p_k^2)^2), the entrywise
     triangle bound sum_{i != k} |M_ik|, and the robustness
     (sum_i sqrt(p_i))^2 - 1 form an increasing chain. A pure state is
     lazy exactly when the spectrum is uniform, p_i = 1/rank.
@@ -468,7 +558,7 @@ def pure_state_analytics(schmidt) -> PureStateAnalytics:
     is_lazy = bool(np.max(np.abs(p - 1.0 / s)) <= 1e-10)
 
     m = np.sqrt(np.outer(p, p)) * (p[:, None] - p[None, :])
-    tn = _trace_norm_hermitian(1j * m)  # i*M is Hermitian for real antisymmetric M
+    tn = _rank_one_trace_norm(p, p)
     entrywise = float(np.abs(m).sum())
     robustness = float(np.sqrt(p).sum() ** 2 - 1.0)
     return PureStateAnalytics(

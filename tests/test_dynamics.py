@@ -11,6 +11,7 @@ from lazylab import (
     evolve_exact,
     finite_difference_rate,
     ginibre_mixed,
+    haar_random_pure,
     kron,
     laziness_commutator,
     linalg,
@@ -23,6 +24,7 @@ from lazylab import (
     record_trajectory,
     von_neumann_entropy,
 )
+from lazylab.laziness import default_lazy_tolerance
 
 from .conftest import (
     SIGMA_X,
@@ -242,13 +244,35 @@ def test_trajectory_validates_times():
         record_trajectory(st, h, [])
 
 
+def _near_pure(ds, de, seed):
+    """(1 - 1e-9) |chi><chi| + 1e-9 I/dim: full rank, yet within 1e-9 of pure."""
+    rho = random_pure_bipartite(ds, de, seed).matrix
+    dim = ds * de
+    return BipartiteState(ds=ds, de=de, matrix=(1 - 1e-9) * rho + 1e-9 * np.eye(dim) / dim)
+
+
+TRAJECTORY_STATES = {
+    "mixed": random_full_rank_state,
+    "pure": random_pure_bipartite,
+    "maxent": lambda ds, de, seed: maximally_entangled(ds),
+    "product": lambda ds, de, seed: pure_state(
+        np.kron(haar_random_pure(ds, seed), haar_random_pure(de, seed + 1)), ds, de
+    ),
+    "near_pure": _near_pure,
+}
+LAZY_AT_START = ("maxent", "product")
+
+
 @pytest.mark.parametrize("regularize", [None, 1e-3])
-@pytest.mark.parametrize("kind", ["mixed", "pure"])
-@pytest.mark.parametrize("ds, de", [(2, 2), (2, 3), (3, 2), (8, 8)])
+@pytest.mark.parametrize(
+    "ds, de, kind",
+    [(ds, de, kind) for ds, de in [(2, 2), (2, 3), (3, 2), (8, 8)] for kind in ("mixed", "pure")]
+    + [(2, 2, "maxent"), (3, 3, "maxent"), (1, 3, "product"), (2, 3, "product")]
+    + [(2, 3, "near_pure"), (8, 8, "near_pure")],
+)
 def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
     seed = 10 * ds + de
-    make = random_full_rank_state if kind == "mixed" else random_pure_bipartite
-    rho0 = make(ds, de, seed)
+    rho0 = TRAJECTORY_STATES[kind](ds, de, seed)
     h_tot = random_hermitian(ds * de, seed + 1)
     h_int = decompose_hamiltonian(h_tot, ds, de).h_int
     times = np.array([0.0, 0.15, 0.6, 1.3])
@@ -260,9 +284,18 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
         with pytest.raises(RankDeficientStateError):
             rate_bounds(evolve_exact(rho0, h_tot, times[1]), h_int, ns)
         return
+    if kind == "product" and ds > 1 and regularize is None:
+        # rho_S starts with rank 1 < ds
+        with pytest.raises(RankDeficientStateError):
+            record_trajectory(rho0, h_tot, times, ns=ns)
+        with pytest.raises(RankDeficientStateError):
+            rate_bounds(rho0, h_int, ns)
+        return
 
     traj = record_trajectory(rho0, h_tot, times, ns=ns, regularize=regularize)
     assert_allclose(traj.times, times, rtol=0, atol=0)
+    if kind in LAZY_AT_START:
+        assert traj.records[0].comm_trace_norm <= default_lazy_tolerance(rho0)
     for t, rec in zip(times, traj.records):
         state = evolve_exact(rho0, h_tot, float(t))
         power_sums = moments(state.rho_s, (2, *ns))
@@ -281,3 +314,26 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
         got.update({f"moment_{n}": rec.moment_values[n] for n in ns})
         for name, want in expected.items():
             assert abs(got[name] - want) <= 1e-12 * (1.0 + abs(want)), (t, name, got[name], want)
+
+
+@pytest.mark.parametrize(
+    "make, per_step", [(random_pure_bipartite, 0), (random_full_rank_state, 2)]
+)
+def test_trajectory_factorizations_per_step(monkeypatch, make, per_step):
+    # pure states take the rank-one path: no dim x dim eigensolve per step,
+    # only the one-off ||H_int||; mixed ones need ||C||_1 and ||K||_1 per step
+    ds = de = 4
+    steps = 5
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (ds * de, ds * de):
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    rho0 = make(ds, de, 95)
+    h_tot = random_hermitian(ds * de, 96)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    record_trajectory(rho0, h_tot, np.linspace(0.0, 0.4, steps), ns=(3,))
+    assert len(calls) == per_step * steps + 1
