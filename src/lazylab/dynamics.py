@@ -20,7 +20,6 @@ from .laziness import (
     _power_sums,
     _pure_vector,
     _rank_one,
-    _rank_one_rate_report,
     _rate_report,
     _spectral_entropy,
     moments,
@@ -182,14 +181,12 @@ def record_trajectory(
     state is evolved in the eigenbasis H_tot = V diag(E) V†: with
     rho_h = V† rho0 V formed once, rho(t) = W rho_h W† for
     W = V diag(exp(-i E t)). Each sample diagonalizes rho_S once; that
-    eigenbasis yields the reduced observables, the commutator and every
-    rate.
+    eigenbasis yields the reduced observables, the commutator norms and
+    every rate.
 
     Without ``regularize``, a pure rho0 = |chi><chi| (to within dim * eps)
     is evolved as the vector chi(t) = W V† chi. Each sample still
-    validates |chi(t)><chi(t)|, but its only factorization is the
-    ds x ds rho_S = M M† of M = chi(t).reshape(ds, de): commutator norms
-    and rates are closed-form functions of rho_S's spectrum and flow.
+    validates |chi(t)><chi(t)|, but factorizes only the ds x ds rho_S.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -207,38 +204,31 @@ def record_trajectory(
 
     if chi is not None:
         chi_h = linalg.dagger(v) @ chi
-
-        def sample(t):
-            chi_t = v @ (np.exp(-1j * spec.eigenvalues * t) * chi_h)
-            # checked as a density matrix like every evolved state, then not needed
-            BipartiteState(ds=ds, de=de, matrix=np.outer(chi_t, chi_t.conj()))
-            pure = _rank_one(chi_t, ds)
-            return pure.lam, pure.comm_trace_norm, _rank_one_rate_report(pure, h_int, h_norm)
-
     else:
         rho_h = linalg.dagger(v) @ rho0.matrix @ v
 
-        def sample(t):
-            w = v * np.exp(-1j * spec.eigenvalues * t)
-            mat = w @ rho_h @ linalg.dagger(w)
-            state = BipartiteState(ds=ds, de=de, matrix=(mat + linalg.dagger(mat)) / 2)
-            basis = _eigenbasis(state.matrix, ds)
-            rate_basis = (
-                basis
-                if regularize is None
-                else _eigenbasis(regularize_state(state, regularize).matrix, ds)
-            )
-            return basis.lam, basis.comm_trace_norm, _rate_report(rate_basis, h_int, h_norm, ())
-
     records = []
     for t in ts:
-        lam, comm_trace_norm, report = sample(t)
+        phase = np.exp(-1j * spec.eigenvalues * t)
+        if chi is not None:
+            chi_t = v @ (phase * chi_h)
+            # checked as a density matrix like every evolved state, then not needed
+            BipartiteState(ds=ds, de=de, matrix=np.outer(chi_t, chi_t.conj()))
+            ev = rate_ev = _rank_one(chi_t, ds)
+        else:
+            w = v * phase
+            mat = w @ rho_h @ linalg.dagger(w)
+            state = BipartiteState(ds=ds, de=de, matrix=(mat + linalg.dagger(mat)) / 2)
+            ev = rate_ev = _eigenbasis(state.matrix, ds)
+            if regularize is not None:
+                rate_ev = _eigenbasis(regularize_state(state, regularize).matrix, ds)
+        report = _rate_report(rate_ev, h_int, h_norm, ())
         records.append(
             TrajectoryRecord(
-                entropy=_spectral_entropy(lam),
-                purity=float((lam**2).sum()),
-                moment_values=_power_sums(lam, ns),
-                comm_trace_norm=comm_trace_norm,
+                entropy=_spectral_entropy(ev.lam),
+                purity=float((ev.lam**2).sum()),
+                moment_values=_power_sums(ev.lam, ns),
+                comm_trace_norm=ev.comm_trace_norm,
                 entropy_rate=report.entropy_rate,
                 entropy_bound=report.entropy_bound,
                 purity_rate=report.purity_rate,

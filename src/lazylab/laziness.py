@@ -10,9 +10,10 @@ bounds are made of.
 All of them are evaluated in the eigenbasis of rho_S = u diag(lam) u†,
 where [f(rho_S) (x) I, rho_SE] is the Hadamard product
 (f(lam_i) - f(lam_j)) rho'_{(ia),(jb)} with rho' = (u (x) I)† rho_SE (u (x) I)
-(the Daleckii-Krein form): f = x, ln and x^(N-1) give the laziness
-commutator, the entropy rate and the moment rates. Commutators are
-anti-Hermitian, so their trace norms are sum |eigvalsh(i C)|.
+(the Daleckii-Krein form); f = x and ln give the commutators whose trace
+norms sum |eigvalsh(i C)| bound the rates. The rate of tr g(rho_S) is
+sum_i g'(lam_i) f_i over the diagonal f_i = (u† d rho_S/dt u)_ii of the
+reduced flow d rho_S/dt = -i (X - X†), X = tr_E(H_int rho_SE).
 
 The kernel also takes states stacked along leading axes (the Monte Carlo
 protocols evaluate their samples that way); every per-state check then
@@ -125,11 +126,6 @@ def _operator_norm_hermitian(m: np.ndarray):
     return _per_matrix(np.abs(np.linalg.eigvalsh(m)).max(axis=-1))
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray):
-    """tr(a b) without forming the product."""
-    return (a.swapaxes(-1, -2) * b).sum(axis=(-2, -1))
-
-
 def _lifted_sandwich(a: np.ndarray, op: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a (x) I_E) op (b (x) I_E) for system-space a and b, without the krons."""
     ds, dim = a.shape[-1], op.shape[-1]
@@ -153,19 +149,32 @@ def _log_spectrum(lam: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Eigenbasis:
-    """rho_SE in the eigenbasis of rho_S = u diag(lam) u†: ``lam`` ascends and
-    ``rho`` is the Hermitian rho' = (u (x) I)† rho_SE (u (x) I). Norms and
-    traces of products are the same in this basis as in the original one.
-    Leading axes of every field stack states.
-    """
+class _Spectrum:
+    """rho_S = u diag(lam) u†, ``lam`` ascending; each evaluator adds the two
+    commutator trace norms and X = tr_E(h rho_SE), all that _rate_report reads."""
 
     lam: np.ndarray
     u: np.ndarray
-    rho: np.ndarray
 
-    def rotate(self, op: np.ndarray) -> np.ndarray:
-        return _lifted_sandwich(linalg.dagger(self.u), op, self.u)
+    @cached_property
+    def ln_lam(self) -> np.ndarray:
+        return _log_spectrum(self.lam)
+
+
+@dataclass(frozen=True)
+class _Eigenbasis(_Spectrum):
+    """rho_SE (``mat``) in the eigenbasis of rho_S: ``rho`` is the Hermitian
+    rho' = (u (x) I)† rho_SE (u (x) I). Norms and traces of products are the
+    same in this basis as in the original one. Leading axes of every field
+    stack states.
+    """
+
+    mat: np.ndarray
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        rot = _lifted_sandwich(linalg.dagger(self.u), self.mat, self.u)
+        return (rot + linalg.dagger(rot)) / 2
 
     def unrotate(self, op: np.ndarray) -> np.ndarray:
         return _lifted_sandwich(self.u, op, linalg.dagger(self.u))
@@ -192,7 +201,18 @@ class _Eigenbasis:
     @cached_property
     def ln_comm(self) -> np.ndarray:
         """K = [ln(rho_S) (x) I, rho_SE]; refused below the log floor."""
-        return self.commutator(_log_spectrum(self.lam))
+        return self.commutator(self.ln_lam)
+
+    @cached_property
+    def ln_comm_trace_norm(self):
+        return _trace_norm_hermitian(1j * self.ln_comm)
+
+    def interaction_trace(self, h: np.ndarray) -> np.ndarray:
+        """X = tr_E(h rho_SE) as one (ds, de·dim) @ (de·dim, ds) product; stacks broadcast."""
+        ds = self.lam.shape[-1]
+        # rho_SE[k, (j, a)] rearranged to [(a, k), j], matching h[(i, a), k] read as [i, (a, k)]
+        rho = self.mat.reshape(*self.mat.shape[:-1], ds, -1).swapaxes(-1, -3).swapaxes(-1, -2)
+        return h.reshape(*h.shape[:-2], ds, -1) @ rho.reshape(*rho.shape[:-3], -1, ds)
 
 
 def _rank_one_trace_norm(lam: np.ndarray, f_lam: np.ndarray):
@@ -223,21 +243,25 @@ def _pure_vector(mat: np.ndarray) -> np.ndarray | None:
 
 
 @dataclass(frozen=True)
-class _RankOne:
-    """A pure rho_SE = |chi><chi| through its Schmidt matrix M = chi.reshape(ds, de):
-    rho_S = M M† = u diag(lam) u† with ``lam`` ascending. Commutator norms
-    and rates are functions of lam and of rho_S's flow, so nothing of the
-    total dimension is factorized.
-    """
+class _RankOne(_Spectrum):
+    """A pure rho_SE = |chi><chi| through its Schmidt matrix M = chi.reshape(ds, de),
+    rho_S = M M†: nothing of the total dimension is factorized."""
 
     chi: np.ndarray
     m: np.ndarray
-    lam: np.ndarray
-    u: np.ndarray
 
     @cached_property
     def comm_trace_norm(self) -> float:
         return _rank_one_trace_norm(self.lam, self.lam)
+
+    @cached_property
+    def ln_comm_trace_norm(self) -> float:
+        return _rank_one_trace_norm(self.lam, self.ln_lam)
+
+    def interaction_trace(self, h: np.ndarray) -> np.ndarray:
+        """X = tr_E(h |chi><chi|) = Phi M† with Phi = (h chi).reshape(ds, de)."""
+        phi = (h @ self.chi).reshape(*h.shape[:-2], *self.m.shape)
+        return phi @ linalg.dagger(self.m)
 
 
 def _rank_one(chi: np.ndarray, ds: int) -> _RankOne:
@@ -252,9 +276,7 @@ def _eigenbasis(mat: np.ndarray, ds: int) -> _Eigenbasis:
     spec = linalg.hermitian_eig(
         linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"), name="rho_S"
     )
-    u = spec.eigenvectors
-    rot = _lifted_sandwich(linalg.dagger(u), mat, u)
-    return _Eigenbasis(lam=spec.eigenvalues, u=u, rho=(rot + linalg.dagger(rot)) / 2)
+    return _Eigenbasis(lam=spec.eigenvalues, u=spec.eigenvectors, mat=mat)
 
 
 def _spectral_entropy(lam: np.ndarray):
@@ -265,10 +287,9 @@ def _spectral_entropy(lam: np.ndarray):
 
 
 def _moment_order(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
-    return n
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"moment order must be an integer >= 1, got {n}")
+    return int(n)
 
 
 def _power_sums(lam: np.ndarray, ns) -> dict[int, float]:
@@ -367,60 +388,45 @@ def _check_h_int(dim: int, h_int) -> np.ndarray:
     return h
 
 
-def _entropy_rate(basis: _Eigenbasis, h_rot: np.ndarray) -> float:
-    return _require_real(-1j * _trace_product(h_rot, basis.ln_comm), what="entropy rate")
+def _flow(ev: _Spectrum, h: np.ndarray) -> np.ndarray:
+    """f_i = (u† d rho_S/dt u)_ii with d rho_S/dt = -i (X - X†), X = tr_E(h rho_SE).
+
+    The local parts of H_tot would add [h_S, rho_S], whose diagonal here is 0.
+    """
+    x = ev.interaction_trace(h)
+    return np.einsum("...ji,...jk,...ki->...i", ev.u.conj(), -1j * (x - linalg.dagger(x)), ev.u)
 
 
-def _moment_rate(basis: _Eigenbasis, h_rot: np.ndarray, n) -> float:
-    n = _moment_order(n)
-    comm = basis.commutator(basis.lam ** (n - 1))
-    return _require_real(1j * n * _trace_product(h_rot, comm), what=f"moment-{n} rate")
+def _flow_rate(ev: _Spectrum, flow: np.ndarray, n=None):
+    """d/dt tr g(rho_S) = sum_i (g'(lam_i) - g'(lam_0)) f_i for g = -x ln x, or x^n.
+
+    The g'(lam_0) reference is exact because sum_i f_i = tr d rho_S/dt = 0;
+    it makes the rate exactly 0 wherever g' is constant on the spectrum
+    (N = 1, a uniform spectrum), where sum_i g'(lam_i) f_i leaves roundoff.
+    """
+    if n is None:  # g' = -ln x - 1, whose constant drops out
+        g_prime, what = -ev.ln_lam, "entropy rate"
+    else:
+        n = _moment_order(n)
+        g_prime, what = n * ev.lam ** (n - 1), f"moment-{n} rate"
+    return _require_real(((g_prime - g_prime[..., :1]) * flow).sum(axis=-1), what=what)
 
 
-def _rate_report(
-    basis: _Eigenbasis, h: np.ndarray, h_norm: float, ns: tuple[int, ...]
-) -> RateReport:
-    """Rates and bounds of the basis' state for the (checked) interaction h.
+def _rate_report(ev: _Spectrum, h: np.ndarray, h_norm, ns: tuple[int, ...]) -> RateReport:
+    """Rates and bounds of the evaluator's state for the (checked) interaction h.
 
     For stacked (state, h) pairs every field holds one value per pair.
     """
-    h_rot = basis.rotate(h)
-    ln_comm_tn = _trace_norm_hermitian(1j * basis.ln_comm)
+    flow = _flow(ev, h)
     return RateReport(
-        entropy_rate=_entropy_rate(basis, h_rot),
-        purity_rate=_moment_rate(basis, h_rot, 2),
-        moment_rates={n: _moment_rate(basis, h_rot, n) for n in ns},
-        entropy_bound=h_norm * ln_comm_tn,
-        purity_bound=2.0 * h_norm * basis.comm_trace_norm,
+        entropy_rate=_flow_rate(ev, flow),
+        purity_rate=_flow_rate(ev, flow, 2),
+        moment_rates={n: _flow_rate(ev, flow, n) for n in ns},
+        entropy_bound=h_norm * ev.ln_comm_trace_norm,
+        purity_bound=2.0 * h_norm * ev.comm_trace_norm,
         mi_purity_bound=None,
         h_int_operator_norm=h_norm,
-        ln_commutator_trace_norm=ln_comm_tn,
-    )
-
-
-def _rank_one_rate_report(pure: _RankOne, h: np.ndarray, h_norm: float) -> RateReport:
-    """Rates and bounds of a pure state for the (checked) interaction h.
-
-    The rate of tr g(rho_S) is tr(g'(rho_S) d rho_S/dt), the sum of g'(lam_i)
-    over the diagonal of u† (d rho_S/dt) u, where
-    d rho_S/dt = i (M Phi† - Phi M†) with Phi = (h chi).reshape(ds, de);
-    the local parts of H_tot add a commutator with rho_S, which these
-    traces do not see. The bounds use the closed-form trace norms.
-    """
-    ln_lam = _log_spectrum(pure.lam)
-    phi = (h @ pure.chi).reshape(pure.m.shape)
-    y = pure.m @ linalg.dagger(phi)
-    flow = np.einsum("ji,jk,ki->i", pure.u.conj(), 1j * (y - linalg.dagger(y)), pure.u)
-    ln_comm_tn = _rank_one_trace_norm(pure.lam, ln_lam)
-    return RateReport(
-        entropy_rate=_require_real(-(ln_lam * flow).sum(), what="entropy rate"),
-        purity_rate=_require_real(2.0 * (pure.lam * flow).sum(), what="moment-2 rate"),
-        moment_rates={},
-        entropy_bound=h_norm * ln_comm_tn,
-        purity_bound=2.0 * h_norm * pure.comm_trace_norm,
-        mi_purity_bound=None,
-        h_int_operator_norm=h_norm,
-        ln_commutator_trace_norm=ln_comm_tn,
+        ln_commutator_trace_norm=ev.ln_comm_trace_norm,
     )
 
 
@@ -429,25 +435,27 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
 
     Requires rho_S to be full rank; with ``regularize=delta`` the state is
     first mixed as (1-delta) rho + delta I/dim. The result is exact for
-    arbitrary coupling strength and needs no Markovian assumption.
+    arbitrary coupling strength and needs no Markovian assumption; it is
+    evaluated from the reduced flow as -sum_i ln(lam_i) f_i.
     """
     h = _check_h_int(rho.dim, h_int)
-    basis = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
-    return _entropy_rate(basis, basis.rotate(h))
+    ev = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
+    return _flow_rate(ev, _flow(ev, h))
 
 
 def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
     """Exact d/dt tr(rho_S^N) = i N tr{H_int [rho_S^{N-1} (x) I, rho_SE]}.
 
-    N = 1 returns zero identically (trace preservation); N = 2 is the
-    purity rate. Well-defined for rank-deficient rho_S, unlike the
-    entropy rate. ``h_int`` may stack couplings along leading axes; the
+    Evaluated from the reduced flow as N sum_i lam_i^(N-1) f_i. N must be
+    an integer >= 1; N = 1 returns zero identically (trace preservation),
+    N = 2 is the purity rate. Well-defined for rank-deficient rho_S, unlike
+    the entropy rate. ``h_int`` may stack couplings along leading axes; the
     rates then come back as an array, all from one rho_S eigenbasis.
     """
     n = _moment_order(n)
     h = _check_h_int(rho.dim, h_int)
-    basis = _eigenbasis(rho.matrix, rho.ds)
-    return _moment_rate(basis, basis.rotate(h), n)
+    ev = _eigenbasis(rho.matrix, rho.ds)
+    return _flow_rate(ev, _flow(ev, h), n)
 
 
 def purity_rate(rho: BipartiteState, h_int) -> float:

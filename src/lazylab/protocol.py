@@ -141,7 +141,6 @@ def detect_discord(
             if use_fd:
                 rates.extend(finite_difference_rate(rho, h, "moment", n=2, h=fd_step) for h in hs)
             else:
-                # linear in the coupling: one commutator serves the whole stack
                 rates.extend(moment_rate(rho, hs, 2).tolist())
     max_abs = max(abs(r) for r in rates)
     return ProtocolVerdict(

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from lazylab import (
@@ -10,6 +14,7 @@ from lazylab import (
     entropy_rate,
     finite_difference_rate,
     ginibre_mixed,
+    haar_random_pure,
     haar_random_unitary,
     kron,
     laziness_commutator,
@@ -31,6 +36,7 @@ from lazylab import (
     witness_hamiltonian,
     zero_discord_state,
 )
+from lazylab.laziness import RateReport, _eigenbasis, _pure_vector, _rank_one, _rate_report
 
 from .conftest import (
     random_full_rank_state,
@@ -105,8 +111,9 @@ def test_moments_two_route_oracle():
 
 
 def test_moments_rejects_zero_order():
-    with pytest.raises(ValueError):
-        moments(np.eye(2) / 2, [0])
+    for n in (0, 2.9):  # a non-integral order is refused, not truncated
+        with pytest.raises(ValueError):
+            moments(np.eye(2) / 2, [n])
 
 
 # ---------------------------------------------------- laziness commutator
@@ -293,8 +300,9 @@ def test_moment_rate_matches_finite_difference():
 
 def test_moment_rate_rejects_zero_order():
     st = random_full_rank_state(2, 2, 3)
-    with pytest.raises(ValueError):
-        moment_rate(st, random_interaction(2, 2, 4), 0)
+    for n in (0, 2.7, float("inf")):  # a non-integral order is refused, not truncated
+        with pytest.raises(ValueError):
+            moment_rate(st, random_interaction(2, 2, 4), n)
 
 
 # ---------------------------------------------------------------- bounds
@@ -580,3 +588,116 @@ def test_eigenbasis_kernel_matches_literal_definitions(kind, ds, de, seed):
     pinched = sum(kron(p, eye_e) @ st.matrix @ kron(p, eye_e) for p in proj.projectors)
     _assert_close(spectral_pinch(st, proj).matrix, pinched)
     _assert_close(pinching_residual(st), linalg.trace_norm(st.matrix - pinched))
+
+
+# ------------------------------------ generated rates against the definitions
+
+
+def _shaped_state(ds, de, gap, rng):
+    """A full-rank state filtered by a local A (x) I so that rho_S has a random
+    spectrum, in a Haar-random basis, with two eigenvalues ``gap`` apart
+    (before the normalization)."""
+    p = rng.uniform(0.2, 1.0, ds)
+    p[1:2] = p[0] + gap
+    w = haar_random_unitary(ds, rng)
+    target_sqrt = (w * np.sqrt(p / p.sum())) @ linalg.dagger(w)
+    sigma = ginibre_mixed(ds * de, ds * de, rng)
+    spec = linalg.hermitian_eig(linalg.partial_trace(sigma, ds, de, keep="system"))
+    v = spec.eigenvectors
+    a = target_sqrt @ (v / np.sqrt(spec.eigenvalues)) @ linalg.dagger(v)
+    lift = kron(a, np.eye(de))
+    mat = lift @ sigma @ linalg.dagger(lift)
+    return (mat + linalg.dagger(mat)) / 2
+
+
+@hst.composite
+def _generated_cases(draw):
+    ds, de = draw(hst.sampled_from([(s, e) for s in range(1, 5) for e in range(1, 5)]))
+    dim = ds * de
+    kind = draw(hst.sampled_from(["ginibre", "pure", "gap"]))
+    rng = derive_rng(draw(hst.integers(0, 2**32 - 1)))
+    if kind == "ginibre":  # every rank, 1 (pure) to dim
+        mat = ginibre_mixed(dim, draw(hst.integers(1, dim)), rng)
+    elif kind == "pure":
+        chi = haar_random_pure(dim, rng)
+        mat = np.outer(chi, chi.conj())
+    else:
+        mat = _shaped_state(ds, de, 10.0 ** -draw(hst.integers(1, 12)), rng)
+    hs = np.stack([random_hermitian(dim, rng) for _ in range(3)])
+    return BipartiteState(ds=ds, de=de, matrix=mat), hs
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_generated_cases())
+def test_generated_rates_match_literal_definitions(case):
+    """Dims 1..4 (1xn, nx1, ds != de), Ginibre states of every rank, Haar-pure
+    states and rho_S eigen-gaps down to 1e-12, each against a stack of three
+    couplings: the rates and rate_bounds fields against the kron/matrix_log/
+    matrix_power definitions, and on pure inputs the rank-one evaluator
+    against the dense one."""
+    st, hs = case
+    eye_e = np.eye(st.de)
+
+    def lifted_commutator(op_s):
+        return linalg.commutator(kron(op_s, eye_e), st.matrix)
+
+    c = lifted_commutator(st.rho_s)
+    m_rates = np.array([
+        [(1j * n * np.trace(h @ lifted_commutator(np.linalg.matrix_power(st.rho_s, n - 1)))).real
+         for h in hs]
+        for n in range(1, 5)
+    ])
+    for n in range(1, 5):
+        _assert_close(moment_rate(st, hs, n), m_rates[n - 1])
+    h_norms = np.array([linalg.operator_norm(h) for h in hs])
+
+    rank_deficient = np.linalg.eigvalsh(st.rho_s)[0] < linalg.LOG_EIGENVALUE_FLOOR
+    if rank_deficient:
+        with pytest.raises(ValueError, match="ln undefined"):
+            linalg.matrix_log(st.rho_s)
+        for h in hs:
+            with pytest.raises(RankDeficientStateError):
+                entropy_rate(st, h)
+            with pytest.raises(RankDeficientStateError):
+                rate_bounds(st, h)
+    else:
+        k = lifted_commutator(linalg.matrix_log(st.rho_s))
+        mi = (von_neumann_entropy(st.rho_s) + von_neumann_entropy(st.rho_e)
+              - von_neumann_entropy(st.matrix))
+        for j, (h, h_norm) in enumerate(zip(hs, h_norms)):
+            s_rate = (-1j * np.trace(h @ k)).real
+            _assert_close(entropy_rate(st, h), s_rate)
+            bounds = rate_bounds(st, h, ns=(3, 4))
+            _assert_close(bounds.entropy_rate, s_rate)
+            _assert_close(bounds.purity_rate, m_rates[1, j])
+            assert sorted(bounds.moment_rates) == [3, 4]
+            _assert_close([bounds.moment_rates[3], bounds.moment_rates[4]], m_rates[2:, j])
+            _assert_close(bounds.h_int_operator_norm, h_norm)
+            _assert_close(bounds.ln_commutator_trace_norm, linalg.trace_norm(k))
+            _assert_close(bounds.entropy_bound, h_norm * linalg.trace_norm(k))
+            _assert_close(bounds.purity_bound, 2.0 * h_norm * linalg.trace_norm(c))
+            if st.is_pure():
+                _assert_close(bounds.mi_purity_bound, 4.0 * h_norm * np.sqrt(2.0 * max(mi, 0.0)))
+            else:
+                assert bounds.mi_purity_bound is None
+
+    chi = _pure_vector(st.matrix)
+    if chi is None:
+        return
+    dense, pure = _eigenbasis(st.matrix, st.ds), _rank_one(chi, st.ds)
+    if rank_deficient:
+        for ev in (dense, pure):
+            with pytest.raises(RankDeficientStateError):
+                _rate_report(ev, hs, h_norms, (1, 3, 4))
+        return
+    reports = [_rate_report(ev, hs, h_norms, (1, 3, 4)) for ev in (dense, pure)]
+    for f in fields(RateReport):
+        expected, actual = (getattr(r, f.name) for r in reports)
+        if f.name == "moment_rates":
+            assert sorted(actual) == sorted(expected) == [1, 3, 4]
+            for n in expected:
+                _assert_close(actual[n], expected[n])
+        elif f.name == "h_int_norm_kind" or expected is None:
+            assert actual == expected
+        else:
+            _assert_close(actual, expected)
