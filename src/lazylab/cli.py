@@ -24,9 +24,8 @@ from .laziness import (
     laziness_commutator,
     rate_bounds,
 )
+from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
 from .protocol import (
-    DEFAULT_DETECT_THRESHOLD,
-    DEFAULT_LAZY_TOL,
     SweepRow,
     bound_sweep,
     detect_discord,
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=DEFAULT_DETECT_THRESHOLD)
     p.add_argument("--fd", action="store_true", help="estimate rates by finite differences")
-    p.add_argument("--fd-step", type=float, default=1e-5)
+    p.add_argument("--fd-step", type=float, default=FD_STEP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_detect_discord)
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--rank", type=int, default=None, help="Ginibre rank (default full)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lazy-tol", type=float, default=DEFAULT_LAZY_TOL)
+    p.add_argument("--lazy-tol", type=float, default=None, help="default: analyze's lazy tolerance")
     p.add_argument("--include-file", type=str, default=None, help="inject a state as sample 0")
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--json", action="store_true")

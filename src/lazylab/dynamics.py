@@ -26,9 +26,8 @@ from .laziness import (
     regularize_state,
     von_neumann_entropy,
 )
+from .linalg import FD_STEP
 from .states import BipartiteState
-
-FD_STEP = 1e-5
 
 
 def _env_diagonal(t: np.ndarray) -> np.ndarray:

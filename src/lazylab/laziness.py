@@ -28,22 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .states import (
-    CLUSTER_TOL,
-    BipartiteState,
-    SpectralProjection,
-    _cluster_labels,
-    schmidt_decompose,
-)
-
-# lazy <=> trace norm of the commutator below tol; scaled with the total
-# dimension because the commutator entries accumulate O(dim) roundoff.
-LAZY_TOL_PER_DIM = 1e-10
-
-# Gate for treating rho_SE as pure (purity above 1 - PURITY_TOL).
-PURITY_TOL = 1e-10
-
-IMAG_TOL = 1e-10
+from .linalg import IMAG_TOL, LAZY_TOL_PER_DIM, PROJECTOR_TOL
+from .states import BipartiteState, SpectralProjection, _cluster_labels
 
 
 class RankDeficientStateError(ValueError):
@@ -308,14 +294,15 @@ def moments(rho, ns) -> dict[int, float]:
     return _power_sums(np.linalg.eigvalsh(mat), ns)
 
 
-def default_lazy_tolerance(rho: BipartiteState) -> float:
-    return LAZY_TOL_PER_DIM * rho.ds * rho.de
+def default_lazy_tolerance(ds: int, de: int) -> float:
+    """The one lazy rule is ||C||_1 <= this; O(dim) roundoff, hence the scaling."""
+    return LAZY_TOL_PER_DIM * ds * de
 
 
 def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> CommutatorReport:
     """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
     if tol is None:
-        tol = default_lazy_tolerance(rho)
+        tol = default_lazy_tolerance(rho.ds, rho.de)
     basis = _eigenbasis(rho.matrix, rho.ds)
     tn = basis.comm_trace_norm
     return CommutatorReport(
@@ -337,7 +324,7 @@ def spectral_pinch(rho: BipartiteState, proj: SpectralProjection) -> BipartiteSt
                 f"(dimension {rho.ds})"
             )
         total += p
-    if np.linalg.norm(total - np.eye(rho.ds)) > 1e-8:
+    if np.linalg.norm(total - np.eye(rho.ds)) > PROJECTOR_TOL:
         raise ValueError("projectors do not resolve the identity on the system")
     ps = np.stack(proj.projectors)
     t = rho.matrix.reshape(rho.ds, rho.de, rho.ds, rho.de)
@@ -345,14 +332,18 @@ def spectral_pinch(rho: BipartiteState, proj: SpectralProjection) -> BipartiteSt
     return BipartiteState(ds=rho.ds, de=rho.de, matrix=out.reshape(rho.dim, rho.dim))
 
 
-def pinching_residual(rho: BipartiteState, cluster_tol: float = CLUSTER_TOL) -> float:
+def pinching_residual(rho: BipartiteState, cluster_tol: float | None = None) -> float:
     """||rho - pinch(rho)||_1 with projectors from rho_S's own spectrum.
 
-    Zero exactly on lazy states; both sides of that equivalence use the
-    same clustering tolerance for degenerate system spectra. In the
-    eigenbasis of rho_S the residual is rho' restricted to the blocks
-    whose eigenvalues fall in different clusters.
+    Eigenvalues of rho_S whose neighbour gap is at most the absolute
+    ``cluster_tol``, by default the lazy tolerance, share a projector. In
+    the eigenbasis of rho_S the residual is rho' restricted to the blocks
+    whose eigenvalues fall in different clusters. It is zero on lazy
+    states, but within a small factor of the tolerance the two verdicts
+    can differ: ||C||_1 weighs each gap by its block.
     """
+    if cluster_tol is None:
+        cluster_tol = default_lazy_tolerance(rho.ds, rho.de)
     basis = _eigenbasis(rho.matrix, rho.ds)
     labels = _cluster_labels(basis.lam, cluster_tol)
     return _trace_norm_hermitian(basis.weigh_blocks(labels[:, None] != labels[None, :]))
@@ -472,14 +463,17 @@ def rate_bounds(
 
     entropy_bound = ||H_int|| ||[ln(rho_S) (x) I, rho_SE]||_1,
     purity_bound = 2 ||H_int|| ||C||_1, and for pure total states also
-    mi_purity_bound = 4 ||H_int|| sqrt(2 I).
+    mi_purity_bound = 4 ||H_int|| sqrt(2 I). With ``regularize`` every
+    field describes the regularized state, which is mixed, so
+    mi_purity_bound is then None.
     """
     h = _check_h_int(rho.dim, h_int)
     h_norm = _operator_norm_hermitian(h)
-    report = _rate_report(_eigenbasis(_prepared(rho, regularize).matrix, rho.ds), h, h_norm, ns)
-    if not rho.is_pure(tol=PURITY_TOL):
+    st = _prepared(rho, regularize)
+    report = _rate_report(_eigenbasis(st.matrix, st.ds), h, h_norm, ns)
+    if not st.is_pure():
         return report
-    return replace(report, mi_purity_bound=_mi_purity_bound(rho.matrix, rho.ds, h_norm))
+    return replace(report, mi_purity_bound=_mi_purity_bound(st.matrix, st.ds, h_norm))
 
 
 def _mi_purity_bound(mat: np.ndarray, ds: int, h_norm):
@@ -523,24 +517,23 @@ def correlation_measures(rho: BipartiteState) -> CorrelationReport:
 
     For pure total states the mutual information equals twice the
     entanglement entropy, which also equals twice the (system-to-
-    environment) discord, and the robustness equals twice the negativity.
+    environment) discord, and the robustness (sum_i sqrt p_i)^2 - 1 equals
+    twice the negativity, which is how it is evaluated.
     """
     s_sys = von_neumann_entropy(rho.rho_s)
     s_env = von_neumann_entropy(rho.rho_e)
     s_tot = von_neumann_entropy(rho.matrix)
     mi = s_sys + s_env - s_tot
+    neg = negativity(rho)
 
     ent = disc = rob = None
-    if rho.is_pure(tol=PURITY_TOL):
-        ent = s_sys
-        disc = s_sys
-        chi = linalg.hermitian_eig(rho.matrix, name="rho").eigenvectors[:, -1]
-        sd = schmidt_decompose(chi, rho.ds, rho.de)
-        rob = float(sd.coefficients.sum() ** 2 - 1.0)
+    if rho.is_pure():
+        ent = disc = s_sys
+        rob = 2.0 * neg
 
     return CorrelationReport(
         mutual_information=mi,
-        negativity=negativity(rho),
+        negativity=neg,
         system_entropy=s_sys,
         environment_entropy=s_env,
         total_entropy=s_tot,
@@ -559,18 +552,17 @@ def pure_state_analytics(schmidt) -> PureStateAnalytics:
     2 sqrt(sum_i p_i (p_i - sum_k p_k^2)^2), the entrywise
     triangle bound sum_{i != k} |M_ik|, and the robustness
     (sum_i sqrt(p_i))^2 - 1 form an increasing chain. A pure state is
-    lazy exactly when the spectrum is uniform, p_i = 1/rank.
+    lazy exactly when the spectrum is uniform, p_i = 1/rank; the verdict
+    applies the lazy tolerance of the Schmidt vectors' ds, de to that norm.
     """
     p = np.asarray(schmidt.coefficients, dtype=float) ** 2
-    s = int(schmidt.rank)
-    is_lazy = bool(np.max(np.abs(p - 1.0 / s)) <= 1e-10)
-
-    m = np.sqrt(np.outer(p, p)) * (p[:, None] - p[None, :])
     tn = _rank_one_trace_norm(p, p)
+    ds, de = schmidt.left_vectors.shape[0], schmidt.right_vectors.shape[0]
+    m = np.sqrt(np.outer(p, p)) * (p[:, None] - p[None, :])
     entrywise = float(np.abs(m).sum())
     robustness = float(np.sqrt(p).sum() ** 2 - 1.0)
     return PureStateAnalytics(
-        is_lazy=is_lazy,
+        is_lazy=bool(tn <= default_lazy_tolerance(ds, de)),
         commutator_trace_norm=tn,
         entrywise_bound=entrywise,
         robustness=robustness,

@@ -14,13 +14,20 @@ from typing import Callable
 
 import numpy as np
 
-# Relative tolerance for accepting a matrix as Hermitian. Chains of
-# kron / partial_trace calls accumulate roundoff, hence relative.
-HERMITICITY_RTOL = 1e-10
-
-# Below this floor ln(rho) is numerically meaningless; callers must
-# regularize explicitly rather than have values clamped silently.
-LOG_EIGENVALUE_FLOOR = 1e-12
+# Every tolerance and default of the package: value  # kind (absolute, relative, per ds*de): verdict
+HERMITICITY_RTOL = 1e-10  # relative to 1 + ||m||_F: an operator is Hermitian
+DENSITY_TOL = 1e-10  # absolute (Hermiticity relative): rho has trace 1 and lam_min >= -tol
+NORM_TOL = 1e-10  # absolute: a vector is unit, probabilities sum to 1, a basis is orthonormal
+NEGATIVE_PROB_TOL = 1e-12  # absolute: a probability p >= -tol counts as non-negative
+PURITY_TOL = 1e-10  # absolute: a state is pure when tr rho^2 > 1 - tol
+SCHMIDT_CUTOFF = 1e-12  # absolute: a Schmidt coefficient or purified eigenvalue counts in the rank
+LOG_EIGENVALUE_FLOOR = 1e-12  # absolute: ln(rho) is defined when lam_min >= floor, never clamped
+LAZY_TOL_PER_DIM = 1e-10  # per ds*de: lazy when ||C||_1 <= tol*ds*de (also the pinching gap)
+CLUSTER_TOL = 1e-8  # relative to max |lam|: spectral_projection merges eigenvalues this close
+PROJECTOR_TOL = 1e-8  # absolute, Frobenius: spectral_pinch's projectors resolve the identity
+IMAG_TOL = 1e-10  # absolute: the imaginary residue of a rate is roundoff
+DEFAULT_DETECT_THRESHOLD = 1e-8  # absolute: detect_discord fires when a |purity rate| exceeds it
+FD_STEP = 1e-5  # absolute time: the finite-difference step (rate oracle, detect_discord --fd)
 
 
 def _complex_stack(m) -> np.ndarray:

@@ -17,25 +17,24 @@ import numpy as np
 from . import linalg
 from .dynamics import decompose_hamiltonian, finite_difference_rate
 from .laziness import (
-    PURITY_TOL,
     _check_h_int,
     _eigenbasis,
     _mi_purity_bound,
     _operator_norm_hermitian,
     _rate_report,
+    default_lazy_tolerance,
     moment_rate,
 )
+from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
 from .states import (
     BipartiteState,
+    _is_pure,
     derive_rng,
     ginibre_mixed,
     haar_random_pure,
     random_hermitian,
     validate_density_matrix,
 )
-
-DEFAULT_DETECT_THRESHOLD = 1e-8
-DEFAULT_LAZY_TOL = 1e-10
 
 # Complex entries of one stacked (n, dim, dim) array (1 MiB): trials are
 # evaluated in chunks of n = _CHUNK_ENTRIES // dim**2, so memory stays
@@ -122,7 +121,7 @@ def detect_discord(
     seed: int,
     threshold: float = DEFAULT_DETECT_THRESHOLD,
     use_fd: bool = False,
-    fd_step: float = 1e-5,
+    fd_step: float = FD_STEP,
 ) -> ProtocolVerdict:
     """Probe the state with random unit-norm couplings and watch the purity.
 
@@ -158,16 +157,17 @@ def sparsity_scan(
     samples: int,
     rank: int,
     seed: int,
-    lazy_tol: float = DEFAULT_LAZY_TOL,
+    lazy_tol: float | None = None,
     include: BipartiteState | None = None,
     bins: int = 20,
 ) -> SparsitySummary:
     """Ginibre-sample states and histogram the commutator trace norm.
 
     ``include`` injects one given state as sample 0 (a plumbing hook for
-    checking that genuinely lazy inputs are counted). The count below
-    lazy_tol is the headline number; lazy states occupy measure zero
-    under this sampling, so the expected count is zero.
+    checking that genuinely lazy inputs are counted). The count with
+    ||C||_1 <= lazy_tol, by default the lazy tolerance of laziness_commutator,
+    is the headline number; lazy states occupy measure zero under this
+    sampling, so the expected count is zero.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -176,6 +176,8 @@ def sparsity_scan(
             f"included state has dims ({include.ds}, {include.de}), "
             f"the scan samples ({ds}, {de})"
         )
+    if lazy_tol is None:
+        lazy_tol = default_lazy_tolerance(ds, de)
     dim = ds * de
     arr = np.empty(samples)
     for trials in _trial_chunks(samples, dim):
@@ -194,7 +196,7 @@ def sparsity_scan(
     return SparsitySummary(
         samples=samples,
         lazy_tol=lazy_tol,
-        count_below_tol=int((arr < lazy_tol).sum()),
+        count_below_tol=int((arr <= lazy_tol).sum()),
         median_trace_norm=float(np.median(arr)),
         min_trace_norm=float(arr.min()),
         max_trace_norm=hi,
@@ -231,7 +233,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
             mats = validate_density_matrix(np.stack(mats), name="bipartite state")
             h_norm = _operator_norm_hermitian(hs)
             report = _rate_report(_eigenbasis(mats, ds), hs, h_norm, ())
-        pure = linalg._frobenius(mats) ** 2 > 1.0 - PURITY_TOL
+        pure = _is_pure(mats)
         mi_bound = np.full(len(trials), np.nan)
         if pure.any():
             with _naming_trials(np.asarray(trials)[pure]):

@@ -15,10 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-
-DENSITY_TOL = 1e-10
-SCHMIDT_CUTOFF = 1e-12
-CLUSTER_TOL = 1e-8
+from .linalg import CLUSTER_TOL, DENSITY_TOL, NORM_TOL, PURITY_TOL, SCHMIDT_CUTOFF
 
 
 def derive_rng(seed, *path: int) -> np.random.Generator:
@@ -74,6 +71,11 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     return mat
 
 
+def _is_pure(mat: np.ndarray, tol: float = PURITY_TOL):
+    """tr rho^2 > 1 - tol for each (stacked) density matrix in mat."""
+    return linalg._frobenius(mat) ** 2 > 1.0 - tol
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """A density matrix on a system (x) environment tensor space.
@@ -111,8 +113,8 @@ class BipartiteState:
     def purity(self) -> float:
         return float(np.linalg.norm(self.matrix) ** 2)
 
-    def is_pure(self, *, tol: float = 1e-10) -> bool:
-        return self.purity() > 1.0 - tol
+    def is_pure(self, *, tol: float = PURITY_TOL) -> bool:
+        return bool(_is_pure(self.matrix, tol))
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def pure_state(chi, ds: int, de: int) -> BipartiteState:
     """|chi><chi| as a BipartiteState for a unit vector chi."""
     vec = np.asarray(chi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector has norm {nrm:.12g}, expected 1")
     if vec.size != ds * de:
         raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
@@ -251,9 +253,9 @@ def zero_discord_state(
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a non-empty 1-D sequence")
-    if np.any(p < -1e-12):
+    if np.any(p < -linalg.NEGATIVE_PROB_TOL):
         raise ValueError("probs must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-10:
+    if abs(p.sum() - 1.0) > NORM_TOL:
         raise ValueError(f"probs sum to {p.sum():.12g}, expected 1")
     if len(basis) != p.size or len(env_states) != p.size:
         raise ValueError("probs, basis and env_states must have matching lengths")
@@ -264,7 +266,7 @@ def zero_discord_state(
         for j, v in enumerate(vecs):
             overlap = np.vdot(u, v)
             expected = 1.0 if i == j else 0.0
-            if abs(overlap - expected) > 1e-10:
+            if abs(overlap - expected) > NORM_TOL:
                 raise ValueError(f"basis vectors {i}, {j} are not orthonormal")
 
     envs = [validate_density_matrix(e, name=f"env_states[{j}]") for j, e in enumerate(env_states)]
@@ -284,7 +286,7 @@ def schmidt_decompose(chi, ds: int, de: int, cutoff: float = SCHMIDT_CUTOFF) -> 
     if vec.size != ds * de:
         raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector has norm {nrm:.12g}, expected 1")
     u, s, vh = np.linalg.svd(vec.reshape(ds, de), full_matrices=False)
     rank = int(np.count_nonzero(s > cutoff))
@@ -327,15 +329,13 @@ def purify(rho, ancilla_basis: np.ndarray | None = None) -> tuple[np.ndarray, in
     return chi, d, da
 
 
-def _cluster_labels(w: np.ndarray, cluster_tol: float) -> np.ndarray:
+def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:
     """Cluster index of each eigenvalue in the sorted array w.
 
-    A gap between neighbours above cluster_tol (relative to the largest
-    magnitude) starts a new cluster; indices count up along w.
+    A difference between neighbours above the absolute ``gap`` starts a
+    new cluster; indices count up along w.
     """
-    scale = max(float(np.abs(w).max()), 1e-300)
-    gaps = np.abs(np.diff(w)) > cluster_tol * scale
-    return np.concatenate(([0], np.cumsum(gaps)))
+    return np.concatenate(([0], np.cumsum(np.abs(np.diff(w)) > gap)))
 
 
 def spectral_projection(rho, cluster_tol: float = CLUSTER_TOL) -> SpectralProjection:
@@ -349,7 +349,7 @@ def spectral_projection(rho, cluster_tol: float = CLUSTER_TOL) -> SpectralProjec
     spec = linalg.hermitian_eig(mat)
     w = spec.eigenvalues[::-1]
     v = spec.eigenvectors[:, ::-1]
-    labels = _cluster_labels(w, cluster_tol)
+    labels = _cluster_labels(w, cluster_tol * np.abs(w).max())
     clusters = [labels == k for k in range(labels[-1] + 1)]
     return SpectralProjection(
         projectors=tuple(v[:, c] @ linalg.dagger(v[:, c]) for c in clusters),

@@ -295,7 +295,7 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
     traj = record_trajectory(rho0, h_tot, times, ns=ns, regularize=regularize)
     assert_allclose(traj.times, times, rtol=0, atol=0)
     if kind in LAZY_AT_START:
-        assert traj.records[0].comm_trace_norm <= default_lazy_tolerance(rho0)
+        assert traj.records[0].comm_trace_norm <= default_lazy_tolerance(ds, de)
     for t, rec in zip(times, traj.records):
         state = evolve_exact(rho0, h_tot, float(t))
         power_sums = moments(state.rho_s, (2, *ns))

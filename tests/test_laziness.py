@@ -36,7 +36,15 @@ from lazylab import (
     witness_hamiltonian,
     zero_discord_state,
 )
-from lazylab.laziness import RateReport, _eigenbasis, _pure_vector, _rank_one, _rate_report
+from lazylab.laziness import (
+    RateReport,
+    _eigenbasis,
+    _pure_vector,
+    _rank_one,
+    _rate_report,
+    default_lazy_tolerance,
+)
+from lazylab.protocol import sparsity_scan
 
 from .conftest import (
     random_full_rank_state,
@@ -222,6 +230,51 @@ def test_pinching_residual_equivalence_with_commutator():
         assert lazy_side == pinch_side
 
 
+def _verdicts(st, chi=None, pinched=None):
+    """The lazy verdicts of every rule that decides laziness for st.
+
+    ``pinched`` is the pinching verdict; by default the residual must stay
+    within the lazy tolerance. A pure st also takes the Schmidt route.
+    """
+    tol = default_lazy_tolerance(st.ds, st.de)
+    out = {
+        "commutator": laziness_commutator(st).lazy,
+        "pinching": pinching_residual(st) <= tol if pinched is None else pinched,
+        "sparsity": sparsity_scan(st.ds, st.de, 1, st.dim, 0, include=st).count_below_tol == 1,
+    }
+    if chi is not None:
+        out["schmidt"] = pure_state_analytics(schmidt_decompose(chi, st.ds, st.de)).is_lazy
+    return out
+
+
+def test_lazy_verdicts_agree_across_a_schmidt_gap_sweep():
+    disagreements = []
+    for s in (2, 3, 4):
+        for gap in 10.0 ** np.arange(-12, -5):
+            p = np.full(s, 1.0 / s)
+            p[:2] += (gap / 2, -gap / 2)
+            chi = schmidt_pure_vector(p, seed=7000 + s)
+            st = pure_state(chi, s, s)
+            v = _verdicts(st, chi, pinched=pinching_residual(st) == 0.0)
+            if len(set(v.values())) != 1:
+                disagreements.append((s, gap, v))
+    assert disagreements == []
+
+
+def test_lazy_verdicts_agree_on_random_and_lazy_states():
+    for trial in range(30):
+        ds, de = 2 + trial % 2, 2 + trial % 3
+        rank = 1 + trial % (ds * de)
+        rho = ginibre_mixed(ds * de, rank, derive_rng(5150, trial))
+        st = BipartiteState(ds=ds, de=de, matrix=rho)
+        chi = np.linalg.eigh(rho)[1][:, -1] if rank == 1 else None
+        v = _verdicts(st, chi)
+        assert set(v.values()) == {False}, (trial, v)
+    for st in lazy_state_zoo():
+        v = _verdicts(st)
+        assert set(v.values()) == {True}, v
+
+
 # ---------------------------------------------------------------- rates
 
 
@@ -352,6 +405,17 @@ def test_rate_bounds_norm_convention_recorded():
     assert report.h_int_operator_norm > 0
 
 
+def test_rate_bounds_regularize_reads_one_state():
+    # every field, the pure-only MI bound included, describes the regularized state
+    st = random_pure_bipartite(2, 3, 7)
+    h = random_interaction(2, 3, 8)
+    report = rate_bounds(st, h, ns=(3,), regularize=1e-3)
+    expected = rate_bounds(regularize_state(st, 1e-3), h, ns=(3,))
+    for f in fields(RateReport):
+        assert getattr(report, f.name) == getattr(expected, f.name), f.name
+    assert report.mi_purity_bound is None
+
+
 # --------------------------------------------------------------- witness
 
 
@@ -411,8 +475,11 @@ def test_correlations_pure_identities():
         rep = correlation_measures(st)
         assert rep.mutual_information == pytest.approx(2 * rep.entanglement_entropy, abs=1e-9)
         assert rep.pure_discord == pytest.approx(rep.entanglement_entropy, abs=1e-12)
-        # two-route check: Schmidt robustness vs partial-transpose negativity
-        assert rep.robustness_pure == pytest.approx(2 * rep.negativity, abs=1e-9)
+        # two-route check: partial-transpose negativity vs Schmidt robustness
+        chi = haar_random_pure(9, derive_rng(4040, trial))
+        schmidt = schmidt_decompose(chi, 3, 3).coefficients.sum() ** 2 - 1.0
+        assert rep.robustness_pure == pytest.approx(2 * rep.negativity, abs=1e-12)
+        assert rep.robustness_pure == pytest.approx(schmidt, abs=1e-9)
 
 
 def test_correlations_mutual_information_nonnegative():

@@ -1,3 +1,7 @@
+import ast
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -256,3 +260,26 @@ def test_partial_transpose_system_involution(rng):
             for j in range(de):
                 for jp in range(de):
                     assert pt[i * de + j, ip * de + jp] == m[ip * de + j, i * de + jp]
+
+
+def test_every_exponent_literal_is_in_the_tolerance_table():
+    # the table: module-level NAME = <number> assignments in linalg.py
+    src = Path(linalg.__file__).parent
+    tree = ast.parse((src / "linalg.py").read_text())
+    table = {
+        node.lineno
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+    }
+    assert 0 < len(table) <= 13
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                text = tok.string.lower()
+                if tok.type != tokenize.NUMBER or text.startswith("0x") or "e" not in text:
+                    continue
+                if not (path.name == "linalg.py" and tok.start[0] in table):
+                    stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert stray == []
