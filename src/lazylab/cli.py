@@ -84,6 +84,10 @@ def _parse_probs(text: str) -> list[float]:
     return probs
 
 
+def _parse_moments(text: str | None) -> tuple[int, ...]:
+    return tuple(int(n) for n in text.split(",")) if text else ()
+
+
 def cmd_gen(args) -> int:
     kind = args.kind
     if kind == "bell":
@@ -153,7 +157,7 @@ def cmd_analyze(args) -> int:
     if args.hamiltonian is not None:
         h_tot = statefile.load_hamiltonian(args.hamiltonian)
         triple = decompose_hamiltonian(h_tot, state.ds, state.de)
-        ns = tuple(int(n) for n in args.moments.split(",")) if args.moments else ()
+        ns = _parse_moments(args.moments)
         report = rate_bounds(state, triple.h_int, ns=ns, regularize=args.regularize)
         payload["rates"] = _rate_payload(report)
 
@@ -178,7 +182,7 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--t-max must be positive, got {args.t_max}")
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
-    ns = tuple(int(n) for n in args.moments.split(",")) if args.moments else ()
+    ns = _parse_moments(args.moments)
     times = np.linspace(0.0, args.t_max, args.steps)
     traj = record_trajectory(state, h_tot, times, ns=ns, regularize=args.regularize)
 

@@ -87,14 +87,12 @@ def decompose_hamiltonian(h_tot, ds: int, de: int) -> HamiltonianTriple:
     h_int = H - A (x) I - I (x) B + c I, h_s = A - (c/2) I, h_e = B - (c/2) I.
     Both partial traces of h_int vanish and the triple reassembles H exactly.
     """
-    h = linalg.require_hermitian(h_tot, name="h_tot")
+    h = linalg._require_dims(linalg.require_hermitian(h_tot, name="h_tot"), ds, de, "h_tot")
+    t = h.reshape(ds, de, ds, de)  # a view of the fresh h, written after the partial traces
     dim = ds * de
-    if h.shape != (dim, dim):
-        raise ValueError(f"h_tot shape {h.shape} does not match dims ({ds}, {de})")
     a = linalg.partial_trace(h, ds, de, keep="system") / de
     b = linalg.partial_trace(h, ds, de, keep="environment") / ds
     c = float(np.trace(h).real) / dim
-    t = h.reshape(ds, de, ds, de)  # h is a fresh array, so t can be written
     _env_diagonal(t)[...] -= a
     _system_diagonal(t)[...] -= b
     h_int = t.reshape(dim, dim)
@@ -117,9 +115,7 @@ def evolve_exact(rho: BipartiteState, h_tot, t: float) -> BipartiteState:
 def _observable_of_reduced(rho: BipartiteState, observable: str, n: int) -> float:
     if observable == "entropy":
         return von_neumann_entropy(rho.rho_s)
-    if observable == "moment":
-        return moments(rho.rho_s, [n])[n]
-    raise ValueError(f"observable must be 'entropy' or 'moment', got {observable!r}")
+    return moments(rho.rho_s, [n])[n]
 
 
 def finite_difference_rate(
@@ -196,7 +192,7 @@ def record_trajectory(
     ds, de = rho0.ds, rho0.de
     triple = decompose_hamiltonian(h_tot, ds, de)
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
-    h_int = _check_h_int(rho0.dim, triple.h_int)
+    h_int = _check_h_int(triple.h_int, ds, de)
     h_norm = _operator_norm_hermitian(h_int)
     v = spec.eigenvectors
     chi = _pure_vector(rho0.matrix) if regularize is None else None

@@ -372,11 +372,8 @@ def _require_real(value, *, what: str):
     return _per_matrix(value.real + 0.0)  # normalize -0.0
 
 
-def _check_h_int(dim: int, h_int) -> np.ndarray:
-    h = linalg.require_hermitian(h_int, name="h_int")
-    if h.shape[-2:] != (dim, dim):
-        raise ValueError(f"h_int shape {h.shape} does not match the state dimension {dim}")
-    return h
+def _check_h_int(h_int, ds: int, de: int) -> np.ndarray:
+    return linalg._require_dims(linalg.require_hermitian(h_int, name="h_int"), ds, de, "h_int")
 
 
 def _flow(ev: _Spectrum, h: np.ndarray) -> np.ndarray:
@@ -429,7 +426,7 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
     arbitrary coupling strength and needs no Markovian assumption; it is
     evaluated from the reduced flow as -sum_i ln(lam_i) f_i.
     """
-    h = _check_h_int(rho.dim, h_int)
+    h = _check_h_int(h_int, rho.ds, rho.de)
     ev = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
     return _flow_rate(ev, _flow(ev, h))
 
@@ -444,7 +441,7 @@ def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
     rates then come back as an array, all from one rho_S eigenbasis.
     """
     n = _moment_order(n)
-    h = _check_h_int(rho.dim, h_int)
+    h = _check_h_int(h_int, rho.ds, rho.de)
     ev = _eigenbasis(rho.matrix, rho.ds)
     return _flow_rate(ev, _flow(ev, h), n)
 
@@ -467,7 +464,7 @@ def rate_bounds(
     field describes the regularized state, which is mixed, so
     mi_purity_bound is then None.
     """
-    h = _check_h_int(rho.dim, h_int)
+    h = _check_h_int(h_int, rho.ds, rho.de)
     h_norm = _operator_norm_hermitian(h)
     st = _prepared(rho, regularize)
     report = _rate_report(_eigenbasis(st.matrix, st.ds), h, h_norm, ns)

@@ -16,7 +16,7 @@ import numpy as np
 
 # Every tolerance and default of the package: value  # kind (absolute, relative, per ds*de): verdict
 HERMITICITY_RTOL = 1e-10  # relative to 1 + ||m||_F: an operator is Hermitian
-DENSITY_TOL = 1e-10  # absolute (Hermiticity relative): rho has trace 1 and lam_min >= -tol
+DENSITY_TOL = 1e-10  # absolute: rho has trace 1 and lam_min >= -tol
 NORM_TOL = 1e-10  # absolute: a vector is unit, probabilities sum to 1, a basis is orthonormal
 NEGATIVE_PROB_TOL = 1e-12  # absolute: a probability p >= -tol counts as non-negative
 PURITY_TOL = 1e-10  # absolute: a state is pure when tr rho^2 > 1 - tol
@@ -96,6 +96,14 @@ def require_hermitian(m, *, name: str = "matrix") -> np.ndarray:
     return (arr + adj) / 2.0
 
 
+def _require_dims(mat: np.ndarray, ds: int, de: int, name: str) -> np.ndarray:
+    """Return mat if its last two axes are (ds*de, ds*de), else raise naming the dims."""
+    dim = ds * de
+    if mat.shape[-2:] != (dim, dim):
+        raise ValueError(f"{name} shape {mat.shape} does not match dims ({ds}, {de})")
+    return mat
+
+
 def kron(a, b) -> np.ndarray:
     """Tensor product with the system-major index convention."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
@@ -108,13 +116,7 @@ def partial_trace(m, d_system: int, d_env: int, keep: str = "system") -> np.ndar
     ``keep="environment"`` returns tr_S(m). The global trace is preserved.
     Leading axes stack operators.
     """
-    mat = _complex_stack(m)
-    dim = d_system * d_env
-    if mat.shape[-2:] != (dim, dim):
-        raise ValueError(
-            f"matrix shape {mat.shape} does not match dims "
-            f"({d_system}, {d_env}) -> ({dim}, {dim})"
-        )
+    mat = _require_dims(_complex_stack(m), d_system, d_env, "matrix")
     t = mat.reshape(*mat.shape[:-2], d_system, d_env, d_system, d_env)
     if keep == "system":
         return np.einsum("...iaja->...ij", t)
@@ -125,12 +127,9 @@ def partial_trace(m, d_system: int, d_env: int, keep: str = "system") -> np.ndar
 
 def partial_transpose_system(m, d_system: int, d_env: int) -> np.ndarray:
     """Transpose the system indices only (used for negativity)."""
-    mat = as_complex_matrix(m)
-    dim = d_system * d_env
-    if mat.shape != (dim, dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match dims")
+    mat = _require_dims(as_complex_matrix(m), d_system, d_env, "matrix")
     t = mat.reshape(d_system, d_env, d_system, d_env)
-    return t.transpose(2, 1, 0, 3).reshape(dim, dim)
+    return t.transpose(2, 1, 0, 3).reshape(mat.shape)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,14 @@ def _unit_couplings(dim: int, ds: int, de: int, rngs) -> np.ndarray:
     """GUE couplings reduced to traceless-partial-trace form, operator norm 1.
 
     One coupling per generator in ``rngs``, drawn in order and stacked.
+    With ds or de equal to 1 every such coupling is zero, so those dims
+    are refused before the first coupling is drawn.
     """
+    if min(ds, de) < 2:
+        raise ValueError(
+            f"random couplings need ds, de >= 2, got dims ({ds}, {de}): "
+            f"every interaction with a one-dimensional factor is zero"
+        )
     hs = np.stack([decompose_hamiltonian(random_hermitian(dim, rng), ds, de).h_int for rng in rngs])
     nrm = _operator_norm_hermitian(hs)
     linalg._raise_first(nrm == 0.0, ValueError, lambda i: "sampled interaction collapsed to zero")
@@ -96,6 +103,8 @@ def _unit_couplings(dim: int, ds: int, de: int, rngs) -> np.ndarray:
 
 def _trial_chunks(samples: int, dim: int) -> list[range]:
     """Consecutive ranges of trials whose stacked arrays fit _CHUNK_ENTRIES."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     step = max(1, _CHUNK_ENTRIES // dim**2)
     return [range(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
 
@@ -131,8 +140,6 @@ def detect_discord(
     finite difference of the purity, mimicking an experiment that can
     only measure purity at nearby times.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     rates = []
     for trials in _trial_chunks(samples, rho.dim):
         with _naming_trials(trials):
@@ -169,8 +176,6 @@ def sparsity_scan(
     is the headline number; lazy states occupy measure zero under this
     sampling, so the expected count is zero.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     if include is not None and (include.ds, include.de) != (ds, de):
         raise ValueError(
             f"included state has dims ({include.ds}, {include.de}), "
@@ -179,8 +184,9 @@ def sparsity_scan(
     if lazy_tol is None:
         lazy_tol = default_lazy_tolerance(ds, de)
     dim = ds * de
+    chunks = _trial_chunks(samples, dim)
     arr = np.empty(samples)
-    for trials in _trial_chunks(samples, dim):
+    for trials in chunks:
         mats = np.stack([
             include.matrix
             if include is not None and trial == 0
@@ -214,8 +220,6 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     exercised. For ds > de a pure state's rho_S is structurally rank
     deficient, so only mixed states are sampled.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     dim = ds * de
     rows = []
     for trials in _trial_chunks(samples, dim):
@@ -229,7 +233,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
             else:
                 mats.append(ginibre_mixed(dim, dim, rng))
         with _naming_trials(trials):
-            hs = _check_h_int(dim, _unit_couplings(dim, ds, de, rngs))
+            hs = _check_h_int(_unit_couplings(dim, ds, de, rngs), ds, de)
             mats = validate_density_matrix(np.stack(mats), name="bipartite state")
             h_norm = _operator_norm_hermitian(hs)
             report = _rate_report(_eigenbasis(mats, ds), hs, h_norm, ())

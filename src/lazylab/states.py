@@ -33,36 +33,29 @@ def derive_rng(seed, *path: int) -> np.random.Generator:
 def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity (up to -tol).
 
-    Positivity is certified by a Cholesky factorization of
-    (rho + rho†)/2 + tol I, which exists only if lam_min >= -tol (up to
-    its backward error, about dim * eps); the eigenvalues are computed
-    only when that fails, and they decide. Leading axes stack matrices,
-    each checked on its own; an error names the first failing one and,
-    for a stack, carries its position as ``index``.
+    Hermiticity is linalg.require_hermitian's verdict; ``tol`` bounds
+    |tr rho - 1| and -lam_min, both absolute. Positivity is certified by
+    a Cholesky factorization of (rho + rho†)/2 + tol I, which exists only
+    if lam_min >= -tol (up to its backward error, about dim * eps); the
+    eigenvalues are computed only when that fails, and they decide.
+    Leading axes stack matrices, each checked on its own; an error names
+    the first failing one and, for a stack, carries its position as
+    ``index``.
     """
-    mat = linalg._complex_stack(rho)
-    if mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    adj = linalg.dagger(mat)
-    defect = linalg._frobenius(mat - adj)
-    linalg._raise_first(
-        defect > tol * (1.0 + linalg._frobenius(mat)),
-        ValueError,
-        lambda i: f"{name} is not Hermitian (defect {defect[i]:.3e})",
-    )
+    mat = np.asarray(rho, dtype=complex)
+    shifted = linalg.require_hermitian(mat, name=name)
     tr = mat.trace(axis1=-2, axis2=-1)
     linalg._raise_first(
         abs(tr - 1.0) > tol,
         ValueError,
         lambda i: f"{name} has trace {complex(tr[i]):.12g}, expected 1",
     )
-    shifted = (mat + adj) / 2
     n = mat.shape[-1]
     shifted.reshape(*mat.shape[:-2], n * n)[..., :: n + 1] += tol
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        lam_min = np.linalg.eigvalsh((mat + adj) / 2)[..., 0]
+        lam_min = np.linalg.eigvalsh(linalg.require_hermitian(mat, name=name))[..., 0]
         linalg._raise_first(
             lam_min < -tol,
             ValueError,
@@ -92,10 +85,9 @@ class BipartiteState:
         if self.ds < 1 or self.de < 1:
             raise ValueError("subsystem dimensions must be positive")
         mat = validate_density_matrix(self.matrix, name="bipartite state")
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match dims ({self.ds}, {self.de})"
-            )
+        if mat.ndim != 2:
+            raise ValueError(f"bipartite state must be one matrix, got shape {mat.shape}")
+        linalg._require_dims(mat, self.ds, self.de, "bipartite state")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -164,14 +156,20 @@ class SpectralProjection:
         return out
 
 
-def pure_state(chi, ds: int, de: int) -> BipartiteState:
-    """|chi><chi| as a BipartiteState for a unit vector chi."""
+def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
+    """chi flattened, checked to have length ds*de and norm 1 within NORM_TOL."""
     vec = np.asarray(chi, dtype=complex).reshape(-1)
+    if vec.size != ds * de:
+        raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector has norm {nrm:.12g}, expected 1")
-    if vec.size != ds * de:
-        raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
+    return vec
+
+
+def pure_state(chi, ds: int, de: int) -> BipartiteState:
+    """|chi><chi| as a BipartiteState for a unit vector chi."""
+    vec = _unit_vector(chi, ds, de)
     return BipartiteState(ds=ds, de=de, matrix=np.outer(vec, vec.conj()))
 
 
@@ -282,12 +280,7 @@ def zero_discord_state(
 
 def schmidt_decompose(chi, ds: int, de: int, cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector on C^ds (x) C^de."""
-    vec = np.asarray(chi, dtype=complex).reshape(-1)
-    if vec.size != ds * de:
-        raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector has norm {nrm:.12g}, expected 1")
+    vec = _unit_vector(chi, ds, de)
     u, s, vh = np.linalg.svd(vec.reshape(ds, de), full_matrices=False)
     rank = int(np.count_nonzero(s > cutoff))
     if rank == 0:

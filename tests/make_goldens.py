@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 
 from lazylab import random_hermitian, statefile
 from lazylab.statefile import from_hermitian, from_vector
+
+from .cli_runner import run_lazylab
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -75,11 +75,8 @@ def write_golden(name: str, data: bytes) -> None:
 
 
 def run_cli(*args: str) -> bytes:
-    proc = subprocess.run(
-        [sys.executable, "-m", "lazylab", *args],
-        capture_output=True,
-        check=True,
-    )
+    proc = run_lazylab(*args)
+    proc.check_returncode()
     return proc.stdout
 
 

@@ -7,8 +7,6 @@ lines; tolerances are pinned here and nowhere else.
 import itertools
 import json
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -38,6 +36,8 @@ from lazylab import (
     sparsity_scan,
     zero_discord_state,
 )
+
+from .cli_runner import run_lazylab
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -318,10 +318,6 @@ def test_c09_sparsity_monte_carlo():
     assert summary.count_below_tol == 0
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "lazylab", *args], capture_output=True)
-
-
 def test_c10_cli_contract_golden_files():
     bell = str(GOLDEN / "bell.json")
     product = str(GOLDEN / "product.json")
@@ -347,15 +343,15 @@ def test_c10_cli_contract_golden_files():
     stable = True
     byte_equal = True
     for args, golden_name in cases:
-        first = _run_cli(*args)
-        second = _run_cli(*args)
+        first = run_lazylab(*args)
+        second = run_lazylab(*args)
         assert first.returncode == 0, f"{args}: {first.stderr.decode()}"
         stable &= first.stdout == second.stdout
         byte_equal &= first.stdout == (GOLDEN / golden_name).read_bytes()
 
     verdicts = {}
     for fixture in ("zerodiscord.json", "maxent3.json", "schmidt_08_02.json"):
-        out = _run_cli(
+        out = run_lazylab(
             "detect-discord", str(GOLDEN / fixture), "--samples", "20", "--seed", "3", "--json"
         )
         verdicts[fixture] = json.loads(out.stdout)["discord_detected"]

@@ -1,7 +1,5 @@
 import json
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -9,14 +7,13 @@ import pytest
 from lazylab import statefile
 from lazylab.cli import main
 
+from .cli_runner import run_lazylab
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(*args, check=True):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lazylab", *args],
-        capture_output=True,
-    )
+    proc = run_lazylab(*args)
     if check and proc.returncode != 0:
         raise AssertionError(f"CLI failed ({proc.returncode}): {proc.stderr.decode()}")
     return proc
@@ -327,6 +324,13 @@ def test_sweep_no_negative_slack():
             assert cells[i_mi] != ""
         else:
             assert cells[i_mi] == ""
+
+
+def test_sweep_refuses_a_one_dimensional_factor():
+    proc = run_cli("sweep", "--ds", "1", "--de", "4", "--samples", "3", "--seed", "0", check=False)
+    assert proc.returncode == 2
+    assert b"random couplings need ds, de >= 2, got dims (1, 4)" in proc.stderr
+    assert proc.stdout == b""
 
 
 # ------------------------------------------------------------- in-process

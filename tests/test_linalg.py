@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lazylab import linalg
+from lazylab import BipartiteState, decompose_hamiltonian, linalg, moment_rate
 from lazylab.states import random_hermitian
 
 from .conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -94,6 +94,24 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(5), 2, 3)
     with pytest.raises(ValueError):
         linalg.partial_trace(np.eye(6), 2, 3, keep="both")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: linalg.partial_trace(m, 2, 3),
+        lambda m: linalg.partial_transpose_system(m, 2, 3),
+        lambda m: BipartiteState(ds=2, de=3, matrix=m),
+        lambda m: decompose_hamiltonian(m, 2, 3),
+        lambda m: moment_rate(BipartiteState(ds=2, de=3, matrix=np.eye(6) / 6), m, 2),
+    ],
+    ids=["partial_trace", "partial_transpose_system", "BipartiteState", "decompose_hamiltonian",
+         "h_int"],
+)
+def test_operator_shape_is_checked_against_the_dims(call):
+    # a valid 4x4 state, Hermitian too, offered where (2, 3) needs 6x6
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match dims \(2, 3\)"):
+        call(np.eye(4) / 4)
 
 
 def test_hermitian_eig_pauli_z():

@@ -80,6 +80,26 @@ def test_detect_discord_validates_samples():
         detect_discord(maximally_entangled(2), samples=0, seed=1)
 
 
+def test_sparsity_scan_and_bound_sweep_validate_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        sparsity_scan(2, 2, samples=0, rank=4, seed=1)
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        bound_sweep(2, 2, samples=0, seed=1)
+
+
+@pytest.mark.parametrize("ds, de", [(1, 4), (4, 1)])
+def test_random_couplings_refuse_a_one_dimensional_factor(ds, de):
+    # every partial-traceless coupling is zero there, so the draw's roundoff
+    # must not decide between a result and a trial error
+    refused = rf"^random couplings need ds, de >= 2, got dims \({ds}, {de}\)"
+    state = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(4, 4, 7))
+    for samples in (3, 20):
+        with pytest.raises(ValueError, match=refused):
+            detect_discord(state, samples=samples, seed=0)
+    with pytest.raises(ValueError, match=refused):
+        bound_sweep(ds, de, 3, 0)
+
+
 def test_sparsity_scan_deterministic():
     a = sparsity_scan(2, 2, samples=50, rank=4, seed=7)
     b = sparsity_scan(2, 2, samples=50, rank=4, seed=7)
@@ -213,6 +233,12 @@ def test_stacked_checks_name_the_failing_trial(monkeypatch, trial):
     monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, NOT_PSD, ginibre_mixed))
     with pytest.raises(ValueError, match=not_psd):
         bound_sweep(3, 2, samples=8, seed=1)  # ds > de: every trial draws a Ginibre state
+
+    not_hermitian = np.eye(6, dtype=complex) / 6
+    not_hermitian[0, 1] = 1e-6
+    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, not_hermitian, ginibre_mixed))
+    with pytest.raises(ValueError, match=rf"^trial {trial}: bipartite state is not Hermitian"):
+        sparsity_scan(3, 2, samples=8, rank=6, seed=1)
 
     # rank-one rho_S: the log floor refuses the entropy rate of that trial only
     rank_one_s = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)

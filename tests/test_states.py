@@ -284,6 +284,28 @@ def test_validate_density_matrix_rejects_bad_inputs():
         validate_density_matrix(np.diag([1.5, -0.5]))
 
 
+def test_hermiticity_has_one_verdict_and_one_message():
+    # tol= loosens the trace and lam_min only; Hermiticity is require_hermitian's
+    m = np.array([[0.5, 1e-6], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density_matrix(m, tol=1e-3)
+    messages = set()
+    for check in (
+        lambda: linalg.require_hermitian(m, name="bipartite state"),
+        lambda: validate_density_matrix(m, name="bipartite state"),
+        lambda: BipartiteState(ds=1, de=2, matrix=m),
+    ):
+        with pytest.raises(ValueError) as exc:
+            check()
+        messages.add(str(exc.value))
+    assert messages == {
+        "bipartite state is not Hermitian: ||m - m†||_F = 1.414e-06 exceeds tolerance"
+    }
+    with pytest.raises(ValueError) as exc:
+        validate_density_matrix(np.stack([np.eye(2) / 2, m, np.eye(2) / 2]))
+    assert exc.value.index == 1
+
+
 def _state_with_lam_min(d: int, lam_min: float, seed: int) -> np.ndarray:
     """Unit-trace Hermitian matrix whose smallest eigenvalue is lam_min."""
     rest = derive_rng(seed, 0).uniform(0.5, 1.5, d - 1)
