@@ -15,6 +15,7 @@ from . import linalg
 from .laziness import (
     RankDeficientStateError,
     _check_h_int,
+    _dense,
     _eigenbasis,
     _operator_norm_hermitian,
     _power_sums,
@@ -22,9 +23,7 @@ from .laziness import (
     _rank_one,
     _rate_report,
     _spectral_entropy,
-    moments,
     regularize_state,
-    von_neumann_entropy,
 )
 from .linalg import FD_STEP
 from .states import BipartiteState
@@ -112,12 +111,6 @@ def evolve_exact(rho: BipartiteState, h_tot, t: float) -> BipartiteState:
     return BipartiteState(ds=rho.ds, de=rho.de, matrix=mat)
 
 
-def _observable_of_reduced(rho: BipartiteState, observable: str, n: int) -> float:
-    if observable == "entropy":
-        return von_neumann_entropy(rho.rho_s)
-    return moments(rho.rho_s, [n])[n]
-
-
 def finite_difference_rate(
     rho: BipartiteState,
     h_tot,
@@ -144,21 +137,21 @@ def finite_difference_rate(
         coarse = finite_difference_rate(rho, h_tot, observable, n=n, h=h)
         fine = finite_difference_rate(rho, h_tot, observable, n=n, h=h / 2.0)
         return (4.0 * fine - coarse) / 3.0
-    plus = evolve_exact(rho, h_tot, h)
-    minus = evolve_exact(rho, h_tot, -h)
-    if observable == "entropy":
+    values = []
+    for st in (evolve_exact(rho, h_tot, h), evolve_exact(rho, h_tot, -h)):
+        lam = np.linalg.eigvalsh(st.rho_s)
+        if observable == "moment":
+            values.append(_power_sums(lam, [n])[n])
         # near a zero eigenvalue the entropy difference quotient is a poor
         # approximant of a derivative that may not even exist
-        for st in (plus, minus):
-            lam_min = float(np.linalg.eigvalsh(st.rho_s)[0])
-            if lam_min < linalg.LOG_EIGENVALUE_FLOOR:
-                raise RankDeficientStateError(
-                    f"rho_S at t = +-{h:g} has eigenvalue {lam_min:.3e}; use a "
-                    f"smaller step or regularize the state first"
-                )
-    lhs = _observable_of_reduced(plus, observable, n)
-    rhs = _observable_of_reduced(minus, observable, n)
-    return (lhs - rhs) / (2.0 * h)
+        elif lam[0] < linalg.LOG_EIGENVALUE_FLOOR:
+            raise RankDeficientStateError(
+                f"rho_S at t = +-{h:g} has eigenvalue {lam[0]:.3e}; use a "
+                f"smaller step or regularize the state first"
+            )
+        else:
+            values.append(_spectral_entropy(lam))
+    return (values[0] - values[1]) / (2.0 * h)
 
 
 def record_trajectory(
@@ -179,9 +172,10 @@ def record_trajectory(
     eigenbasis yields the reduced observables, the commutator norms and
     every rate.
 
-    Without ``regularize``, a pure rho0 = |chi><chi| (to within dim * eps)
-    is evolved as the vector chi(t) = W V† chi. Each sample still
-    validates |chi(t)><chi(t)|, but factorizes only the ds x ds rho_S.
+    A pure rho0 = |chi><chi| (to within dim * eps) is evolved as the vector
+    chi(t) = W V† chi; each sample validates |chi(t)><chi(t)| and takes its
+    records from the rank-one evaluator. With ``regularize`` the rates come
+    from the regularized state.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -195,7 +189,7 @@ def record_trajectory(
     h_int = _check_h_int(triple.h_int, ds, de)
     h_norm = _operator_norm_hermitian(h_int)
     v = spec.eigenvectors
-    chi = _pure_vector(rho0.matrix) if regularize is None else None
+    chi = _pure_vector(rho0.matrix)
 
     if chi is not None:
         chi_h = linalg.dagger(v) @ chi
@@ -207,16 +201,16 @@ def record_trajectory(
         phase = np.exp(-1j * spec.eigenvalues * t)
         if chi is not None:
             chi_t = v @ (phase * chi_h)
-            # checked as a density matrix like every evolved state, then not needed
-            BipartiteState(ds=ds, de=de, matrix=np.outer(chi_t, chi_t.conj()))
-            ev = rate_ev = _rank_one(chi_t, ds)
+            state = BipartiteState(ds=ds, de=de, matrix=np.outer(chi_t, chi_t.conj()))
+            ev = _rank_one(chi_t, ds, state.matrix)
         else:
             w = v * phase
             mat = w @ rho_h @ linalg.dagger(w)
             state = BipartiteState(ds=ds, de=de, matrix=(mat + linalg.dagger(mat)) / 2)
-            ev = rate_ev = _eigenbasis(state.matrix, ds)
-            if regularize is not None:
-                rate_ev = _eigenbasis(regularize_state(state, regularize).matrix, ds)
+            ev = _dense(state.matrix, ds)
+        rate_ev = ev
+        if regularize is not None:
+            rate_ev = _eigenbasis(regularize_state(state, regularize).matrix, ds)
         report = _rate_report(rate_ev, h_int, h_norm, ())
         records.append(
             TrajectoryRecord(

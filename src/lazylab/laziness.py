@@ -135,27 +135,20 @@ def _log_spectrum(lam: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Spectrum:
-    """rho_S = u diag(lam) u†, ``lam`` ascending; each evaluator adds the two
-    commutator trace norms and X = tr_E(h rho_SE), all that _rate_report reads."""
+class _Eigenbasis:
+    """rho_SE (``mat``) in the eigenbasis of rho_S = u diag(lam) u†, ``lam``
+    ascending: ``rho`` is the Hermitian rho' = (u (x) I)† rho_SE (u (x) I),
+    in which norms and traces of products are unchanged. Leading axes of
+    every field stack states.
+    """
 
     lam: np.ndarray
     u: np.ndarray
+    mat: np.ndarray
 
     @cached_property
     def ln_lam(self) -> np.ndarray:
         return _log_spectrum(self.lam)
-
-
-@dataclass(frozen=True)
-class _Eigenbasis(_Spectrum):
-    """rho_SE (``mat``) in the eigenbasis of rho_S: ``rho`` is the Hermitian
-    rho' = (u (x) I)† rho_SE (u (x) I). Norms and traces of products are the
-    same in this basis as in the original one. Leading axes of every field
-    stack states.
-    """
-
-    mat: np.ndarray
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -207,34 +200,39 @@ def _rank_one_trace_norm(lam: np.ndarray, f_lam: np.ndarray):
     With a = (f(rho_S) (x) I) chi the commutator is |a><chi| - |chi><a|, in
     which the component <f> chi of a along chi cancels, <f> = sum_j lam_j f(lam_j).
     The rest is a rank-two operator with trace norm 2 ||a - <f> chi|| =
-    2 sqrt(sum_i lam_i (f(lam_i) - <f>)^2). The variance is summed over
-    deviations from the mean, so a uniform spectrum gives 0 and not sqrt(eps).
+    2 sqrt(sum_i lam_i (f(lam_i) - <f>)^2), summed over deviations of
+    f - f(lam_0) from their mean, so a uniform spectrum gives exactly 0.
     """
-    w = np.clip(lam, 0.0, None)  # eigensolver roundoff can leave -eps in place of 0
-    mean = (w * f_lam).sum(axis=-1, keepdims=True)
-    return _per_matrix(2.0 * np.sqrt((w * (f_lam - mean) ** 2).sum(axis=-1)))
+    g = f_lam - f_lam[..., :1]
+    mean = (lam * g).sum(axis=-1, keepdims=True)
+    return _per_matrix(2.0 * np.sqrt((lam * (g - mean) ** 2).sum(axis=-1)))
 
 
 def _pure_vector(mat: np.ndarray) -> np.ndarray | None:
-    """chi with mat = |chi><chi| to within dim * eps in Frobenius norm, else None.
+    """chi with mat = |chi><chi| to within delta = dim * eps in Frobenius norm, else None.
 
-    chi is the column of mat with the largest diagonal entry, divided by
-    the square root of that entry, so the test needs no factorization.
+    One vdot turns a mixed state away first: within delta of rank one,
+    (tr mat)^2 - ||mat||_F^2 <= about 2 (1 + sqrt(dim)) delta. chi is
+    mat's largest-diagonal column over the square root of that entry.
     """
+    dim = mat.shape[-1]
+    tol = dim * np.finfo(float).eps
+    tr = mat.trace().real
+    if tr * tr - np.vdot(mat, mat).real > 4.0 * (1.0 + dim**0.5) * tol:
+        return None
     k = int(np.argmax(mat.diagonal().real))
     chi = mat[:, k] / np.sqrt(mat[k, k].real)
-    if np.linalg.norm(mat - np.outer(chi, chi.conj())) > mat.shape[-1] * np.finfo(float).eps:
+    if np.linalg.norm(mat - np.outer(chi, chi.conj())) > tol:
         return None
     return chi
 
 
 @dataclass(frozen=True)
-class _RankOne(_Spectrum):
-    """A pure rho_SE = |chi><chi| through its Schmidt matrix M = chi.reshape(ds, de),
-    rho_S = M M†: nothing of the total dimension is factorized."""
+class _RankOne(_Eigenbasis):
+    """A pure |chi><chi| (``mat``): trace norms and X come from M = chi.reshape(ds, de),
+    rho_S = M M†; the inherited dense members are built only when asked for."""
 
     chi: np.ndarray
-    m: np.ndarray
 
     @cached_property
     def comm_trace_norm(self) -> float:
@@ -246,19 +244,32 @@ class _RankOne(_Spectrum):
 
     def interaction_trace(self, h: np.ndarray) -> np.ndarray:
         """X = tr_E(h |chi><chi|) = Phi M† with Phi = (h chi).reshape(ds, de)."""
-        phi = (h @ self.chi).reshape(*h.shape[:-2], *self.m.shape)
-        return phi @ linalg.dagger(self.m)
+        m = self.chi.reshape(self.lam.shape[-1], -1)
+        phi = (h @ self.chi).reshape(*h.shape[:-2], *m.shape)
+        return phi @ linalg.dagger(m)
 
 
-def _rank_one(chi: np.ndarray, ds: int) -> _RankOne:
-    """The Schmidt form of the unit vector chi with system dimension ds."""
+def _rank_one(chi: np.ndarray, ds: int, mat: np.ndarray) -> _RankOne:
+    """The evaluator of mat = |chi><chi| (chi a unit vector, system dimension ds).
+
+    lam is the squared singular values of M, zero-padded when ds > de: eigh(M M†)
+    would leave a product state's zero weights at eps, read as sqrt(eps) by the norms.
+    """
     m = chi.reshape(ds, -1)
-    spec = linalg.hermitian_eig(m @ linalg.dagger(m), name="rho_S")
-    return _RankOne(chi=chi, m=m, lam=spec.eigenvalues, u=spec.eigenvectors)
+    u, s, _ = np.linalg.svd(m, full_matrices=ds > m.shape[1])
+    lam = np.concatenate([np.zeros(ds - s.size), s[::-1] ** 2])
+    return _RankOne(lam=lam, u=u[:, ::-1], mat=mat, chi=chi)
 
 
 def _eigenbasis(mat: np.ndarray, ds: int) -> _Eigenbasis:
-    """The rho_S eigenbasis of the validated state(s) ``mat`` with system dimension ds."""
+    """The evaluator of the validated state(s) ``mat`` with system dimension ds:
+    rank-one for one matrix pure within dim * eps, dense for a mixed state or a stack."""
+    chi = _pure_vector(mat) if mat.ndim == 2 else None
+    return _dense(mat, ds) if chi is None else _rank_one(chi, ds, mat)
+
+
+def _dense(mat: np.ndarray, ds: int) -> _Eigenbasis:
+    """The dense evaluator of the state(s) ``mat``, through the eigh of rho_S."""
     spec = linalg.hermitian_eig(
         linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"), name="rho_S"
     )
@@ -376,7 +387,7 @@ def _check_h_int(h_int, ds: int, de: int) -> np.ndarray:
     return linalg._require_dims(linalg.require_hermitian(h_int, name="h_int"), ds, de, "h_int")
 
 
-def _flow(ev: _Spectrum, h: np.ndarray) -> np.ndarray:
+def _flow(ev: _Eigenbasis, h: np.ndarray) -> np.ndarray:
     """f_i = (u† d rho_S/dt u)_ii with d rho_S/dt = -i (X - X†), X = tr_E(h rho_SE).
 
     The local parts of H_tot would add [h_S, rho_S], whose diagonal here is 0.
@@ -385,7 +396,7 @@ def _flow(ev: _Spectrum, h: np.ndarray) -> np.ndarray:
     return np.einsum("...ji,...jk,...ki->...i", ev.u.conj(), -1j * (x - linalg.dagger(x)), ev.u)
 
 
-def _flow_rate(ev: _Spectrum, flow: np.ndarray, n=None):
+def _flow_rate(ev: _Eigenbasis, flow: np.ndarray, n=None):
     """d/dt tr g(rho_S) = sum_i (g'(lam_i) - g'(lam_0)) f_i for g = -x ln x, or x^n.
 
     The g'(lam_0) reference is exact because sum_i f_i = tr d rho_S/dt = 0;
@@ -400,7 +411,7 @@ def _flow_rate(ev: _Spectrum, flow: np.ndarray, n=None):
     return _require_real(((g_prime - g_prime[..., :1]) * flow).sum(axis=-1), what=what)
 
 
-def _rate_report(ev: _Spectrum, h: np.ndarray, h_norm, ns: tuple[int, ...]) -> RateReport:
+def _rate_report(ev: _Eigenbasis, h: np.ndarray, h_norm, ns: tuple[int, ...]) -> RateReport:
     """Rates and bounds of the evaluator's state for the (checked) interaction h.
 
     For stacked (state, h) pairs every field holds one value per pair.
@@ -461,8 +472,8 @@ def rate_bounds(
     entropy_bound = ||H_int|| ||[ln(rho_S) (x) I, rho_SE]||_1,
     purity_bound = 2 ||H_int|| ||C||_1, and for pure total states also
     mi_purity_bound = 4 ||H_int|| sqrt(2 I). With ``regularize`` every
-    field describes the regularized state, which is mixed, so
-    mi_purity_bound is then None.
+    field describes the regularized state, so mi_purity_bound is None
+    unless that state is still pure by is_pure.
     """
     h = _check_h_int(h_int, rho.ds, rho.de)
     h_norm = _operator_norm_hermitian(h)

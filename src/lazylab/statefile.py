@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from . import linalg
-from .states import BipartiteState, pure_state
+from .states import BipartiteState, _unit_vector, pure_state
 
 KINDS = ("density", "purevector", "hermitian")
 
@@ -41,16 +41,11 @@ def from_bipartite(rho: BipartiteState) -> StateFile:
 
 
 def from_vector(chi, ds: int, de: int) -> StateFile:
-    vec = np.asarray(chi, dtype=complex).reshape(-1)
-    if vec.size != ds * de:
-        raise StateFileError(f"vector length {vec.size} does not match dims ({ds}, {de})")
-    return StateFile(ds=ds, de=de, kind="purevector", data=vec)
+    return StateFile(ds=ds, de=de, kind="purevector", data=_unit_vector(chi, ds, de))
 
 
 def from_hermitian(h, ds: int, de: int) -> StateFile:
-    mat = linalg.as_complex_matrix(h)
-    if mat.shape != (ds * de, ds * de):
-        raise StateFileError(f"matrix shape {mat.shape} does not match dims ({ds}, {de})")
+    mat = linalg._require_dims(linalg.as_complex_matrix(h), ds, de, "matrix")
     return StateFile(ds=ds, de=de, kind="hermitian", data=mat)
 
 

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import pathlib
 import re
+import sys
 
 import numpy as np
 
-from lazylab import random_hermitian, statefile
-from lazylab.statefile import from_hermitian, from_vector
+from .cli_runner import SRC, run_lazylab
 
-from .cli_runner import run_lazylab
+sys.path.insert(0, str(SRC))  # the checkout's lazylab, installed or not
+
+from lazylab import random_hermitian, statefile  # noqa: E402
+from lazylab.statefile import from_hermitian, from_vector  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

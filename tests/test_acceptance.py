@@ -228,7 +228,7 @@ def test_c06_pure_state_characterization():
                 chi += np.sqrt(p[k]) * np.kron(left[:, k], right[:, k])
             chi /= np.linalg.norm(chi)
             st = pure_state(chi, s, s)
-            dense_tn = laziness_commutator(st).trace_norm
+            dense_tn = linalg.trace_norm(laziness_commutator(st).commutator)
             pa = pure_state_analytics(schmidt_decompose(chi, s, s))
 
             uniform = np.max(np.abs(p - 1.0 / s)) <= 1e-10

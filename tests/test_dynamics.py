@@ -172,6 +172,24 @@ def test_fd_entropy_advises_on_rank_deficiency():
     assert np.isfinite(finite_difference_rate(regularize_state(st, 1e-4), h, "entropy"))
 
 
+def test_fd_diagonalizes_each_evolved_rho_s_once(monkeypatch):
+    # one eigvalsh per evolved state serves both the floor check and the entropy
+    ds, de = 2, 3
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (ds, ds):
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    st = random_full_rank_state(ds, de, 41)
+    h_tot = random_hermitian(ds * de, 42)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    finite_difference_rate(st, h_tot, "entropy")
+    assert len(calls) == 2
+
+
 # ------------------------------------------------------------ trajectory
 
 

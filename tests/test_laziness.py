@@ -38,9 +38,10 @@ from lazylab import (
 )
 from lazylab.laziness import (
     RateReport,
+    _dense,
     _eigenbasis,
+    _RankOne,
     _pure_vector,
-    _rank_one,
     _rate_report,
     default_lazy_tolerance,
 )
@@ -407,13 +408,15 @@ def test_rate_bounds_norm_convention_recorded():
 
 def test_rate_bounds_regularize_reads_one_state():
     # every field, the pure-only MI bound included, describes the regularized state
+    # (null unless the regularized state still passes PURITY_TOL: delta < 5e-11 dim/(dim-1))
     st = random_pure_bipartite(2, 3, 7)
     h = random_interaction(2, 3, 8)
-    report = rate_bounds(st, h, ns=(3,), regularize=1e-3)
-    expected = rate_bounds(regularize_state(st, 1e-3), h, ns=(3,))
-    for f in fields(RateReport):
-        assert getattr(report, f.name) == getattr(expected, f.name), f.name
-    assert report.mi_purity_bound is None
+    for delta, still_pure in ((1e-3, False), (1e-11, True)):
+        report = rate_bounds(st, h, ns=(3,), regularize=delta)
+        expected = rate_bounds(regularize_state(st, delta), h, ns=(3,))
+        for f in fields(RateReport):
+            assert getattr(report, f.name) == getattr(expected, f.name), (delta, f.name)
+        assert (report.mi_purity_bound is not None) == still_pure
 
 
 # --------------------------------------------------------------- witness
@@ -500,6 +503,26 @@ def test_pure_analytics_uniform_is_lazy():
         assert pa.entrywise_bound == pytest.approx(0.0, abs=1e-12)
 
 
+def test_pure_analytics_uniform_norm_is_exactly_zero():
+    # the closed form centers f on f(lam_0) first, so equal weights leave no roundoff
+    for s in (2, 3, 4, 8):
+        pa = pure_state_analytics(schmidt_decompose(np.eye(s).ravel() / np.sqrt(s), s, s))
+        assert pa.commutator_trace_norm == 0.0
+        assert pa.is_lazy
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (2, 3), (4, 4), (8, 8)])
+def test_pure_products_are_lazy_at_every_entry_point(ds, de):
+    # Haar local factors: the zero Schmidt weights are only roundoff-small, and a
+    # closed form fed eps-sized weights would read sqrt(eps)
+    rng = derive_rng(910, ds, de)
+    st = pure_state(np.kron(haar_random_pure(ds, rng), haar_random_pure(de, rng)), ds, de)
+    h = random_interaction(ds, de, derive_rng(911, ds, de))
+    assert laziness_commutator(st).lazy
+    assert pinching_residual(st) <= default_lazy_tolerance(ds, de)
+    assert abs(moment_rate(st, h, 2)) <= 1e-12
+
+
 def test_pure_analytics_rank_two_closed_form():
     for p in (0.55, 0.7, 0.8, 0.95):
         sd = schmidt_decompose(schmidt_pure_vector([p, 1 - p]), 2, 2)
@@ -513,7 +536,7 @@ def test_pure_analytics_rank_two_closed_form():
 def test_pure_analytics_matches_dense_commutator():
     vec = schmidt_pure_vector([0.4, 0.3, 0.2, 0.1], seed=606)
     st = pure_state(vec, 4, 4)
-    dense = laziness_commutator(st).trace_norm
+    dense = linalg.trace_norm(laziness_commutator(st).commutator)
     pa = pure_state_analytics(schmidt_decompose(vec, 4, 4))
     assert abs(dense - pa.commutator_trace_norm) < 1e-9
     # strict triangle inequality at rank 4 with distinct spectrum
@@ -748,10 +771,10 @@ def test_generated_rates_match_literal_definitions(case):
             else:
                 assert bounds.mi_purity_bound is None
 
-    chi = _pure_vector(st.matrix)
-    if chi is None:
+    pure = _eigenbasis(st.matrix, st.ds)
+    if not isinstance(pure, _RankOne):
         return
-    dense, pure = _eigenbasis(st.matrix, st.ds), _rank_one(chi, st.ds)
+    dense = _dense(st.matrix, st.ds)
     if rank_deficient:
         for ev in (dense, pure):
             with pytest.raises(RankDeficientStateError):
@@ -768,3 +791,18 @@ def test_generated_rates_match_literal_definitions(case):
             assert actual == expected
         else:
             _assert_close(actual, expected)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_pure_gate_prefilter_turns_away_no_state_the_gate_accepts(dim):
+    # |chi><chi| + c dim eps I/sqrt(dim) spends the whole Frobenius budget on the
+    # trace, the direction that widens (tr m)^2 - ||m||_F^2 fastest; the gate's
+    # verdict must not change around its own threshold
+    eps = np.finfo(float).eps
+    chi = haar_random_pure(dim, derive_rng(912, dim))
+    for c in np.linspace(0.1, 1.0, 10):
+        mat = np.outer(chi, chi.conj()) + c * dim * eps * np.eye(dim) / np.sqrt(dim)
+        k = int(np.argmax(mat.diagonal().real))
+        col = mat[:, k] / np.sqrt(mat[k, k].real)
+        accepted = np.linalg.norm(mat - np.outer(col, col.conj())) <= dim * eps
+        assert (_pure_vector(mat) is not None) == accepted, c

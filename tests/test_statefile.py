@@ -111,6 +111,15 @@ def test_to_hamiltonian_requires_hermitian():
         statefile.to_hamiltonian(bad)
 
 
+def test_writers_apply_the_shared_input_rules():
+    with pytest.raises(ValueError, match=r"vector length 3 does not match dims \(2, 2\)"):
+        statefile.from_vector(np.ones(3) / np.sqrt(3), 2, 2)
+    with pytest.raises(ValueError, match="norm"):
+        statefile.from_vector(np.ones(4), 2, 2)
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match dims \(2, 3\)"):
+        statefile.from_hermitian(random_hermitian(4, 1), 2, 3)
+
+
 def test_load_missing_file():
     with pytest.raises(StateFileError, match="cannot read"):
         statefile.load("/nonexistent/state.json")
