@@ -68,10 +68,8 @@ def _csv_quote(field: str) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    cells = [header] + [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return "".join(",".join(map(_csv_quote, line)) + "\n" for line in cells)
 
 
 def _parse_probs(text: str) -> list[float]:
@@ -91,8 +89,7 @@ def _parse_moments(text: str | None) -> tuple[int, ...]:
 def cmd_gen(args) -> int:
     kind = args.kind
     if kind == "bell":
-        state = maximally_entangled(2)
-        sf = statefile.from_bipartite(state)
+        sf = statefile.from_bipartite(maximally_entangled(2))
     elif kind == "maxent":
         sf = statefile.from_bipartite(maximally_entangled(args.d))
     elif kind == "ginibre":
@@ -121,13 +118,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _rate_payload(report) -> dict:
-    # string keys so that json and _flatten both order "10" before "3"
-    payload = dataclasses.asdict(report)
-    payload["moment_rates"] = {str(n): v for n, v in report.moment_rates.items()}
-    return payload
-
-
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = []
     for key in sorted(payload):
@@ -147,10 +137,7 @@ def cmd_analyze(args) -> int:
     payload = {
         "dims": [state.ds, state.de],
         "commutator": {
-            "trace_norm": comm.trace_norm,
-            "frobenius_norm": comm.frobenius_norm,
-            "lazy": comm.lazy,
-            "tolerance": comm.tolerance,
+            f.name: getattr(comm, f.name) for f in dataclasses.fields(comm) if f.name != "commutator"
         },
         "correlations": dataclasses.asdict(corr),
     }
@@ -159,16 +146,18 @@ def cmd_analyze(args) -> int:
         triple = decompose_hamiltonian(h_tot, state.ds, state.de)
         ns = _parse_moments(args.moments)
         report = rate_bounds(state, triple.h_int, ns=ns, regularize=args.regularize)
-        payload["rates"] = _rate_payload(report)
+        payload["rates"] = dataclasses.asdict(report)
+        # string keys so that json and _flatten both order "10" before "3"
+        payload["rates"]["moment_rates"] = {str(n): v for n, v in report.moment_rates.items()}
 
     if args.json:
         _emit(_json_text(payload), args.out)
     elif args.csv:
-        lines = ["key,value"]
-        for k, v in _flatten(payload):
-            rendered = _fmt(v) if isinstance(v, float) else json.dumps(v, separators=(",", ":"))
-            lines.append(f"{k},{_csv_quote(rendered)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [
+            [k, v if isinstance(v, float) else json.dumps(v, separators=(",", ":"))]
+            for k, v in _flatten(payload)
+        ]
+        _emit(_csv_text(["key", "value"], rows), args.out)
     else:
         lines = [f"{k} = {v!r}" for k, v in _flatten(payload)]
         _emit("\n".join(lines) + "\n", args.out)

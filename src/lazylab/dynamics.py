@@ -14,9 +14,7 @@ import numpy as np
 from . import linalg
 from .laziness import (
     RankDeficientStateError,
-    _check_h_int,
     _dense,
-    _eigenbasis,
     _operator_norm_hermitian,
     _power_sums,
     _pure_vector,
@@ -129,8 +127,8 @@ def finite_difference_rate(
     extrapolated (4 f(h/2) - f(h)) / 3 estimate, removing the leading
     truncation term.
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h}")
     if observable not in ("entropy", "moment"):
         raise ValueError(f"observable must be 'entropy' or 'moment', got {observable!r}")
     if richardson:
@@ -154,6 +152,12 @@ def finite_difference_rate(
     return (values[0] - values[1]) / (2.0 * h)
 
 
+def _conjugate(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """W rho W†, symmetrized: Hermitian by construction, with no further check."""
+    mat = w @ rho @ linalg.dagger(w)
+    return (mat + linalg.dagger(mat)) / 2
+
+
 def record_trajectory(
     rho0: BipartiteState,
     h_tot,
@@ -165,53 +169,46 @@ def record_trajectory(
 
     Rates use the interaction part of the decomposed Hamiltonian; the
     local parts provably contribute nothing. Entropy-rate evaluation
-    requires full-rank rho_S at every sample (or ``regularize``). The
-    state is evolved in the eigenbasis H_tot = V diag(E) V†: with
-    rho_h = V† rho0 V formed once, rho(t) = W rho_h W† for
-    W = V diag(exp(-i E t)). Each sample diagonalizes rho_S once; that
-    eigenbasis yields the reduced observables, the commutator norms and
-    every rate.
+    requires full-rank rho_S at every sample (or ``regularize``). With
+    H_tot = V diag(E) V† and rho_h = V† rho0 V formed once, each sample
+    is rho(t) = W rho_h W† for W = V diag(exp(-i E t)); one factorization
+    of its rho_S yields the reduced observables, the commutator norms and
+    every rate. A pure rho0 = |chi><chi| (to within dim * eps) evolves as the vector
+    chi(t) = W V† chi and takes the rank-one evaluator.
 
-    A pure rho0 = |chi><chi| (to within dim * eps) is evolved as the vector
-    chi(t) = W V† chi; each sample validates |chi(t)><chi(t)| and takes its
-    records from the rank-one evaluator. With ``regularize`` the rates come
-    from the regularized state.
+    Only the inputs are checked, once: rho0 when it was built, H_tot by
+    decompose_hamiltonian, the times here (finite, ascending). With
+    ``regularize`` the regularized rho0 is formed once and evolved
+    alongside (W I W† = I); the rates come from its dense evaluator.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
     if np.any(np.diff(ts) < 0):
         raise ValueError("times must be sorted ascending")
 
-    ds, de = rho0.ds, rho0.de
-    triple = decompose_hamiltonian(h_tot, ds, de)
+    ds = rho0.ds
+    triple = decompose_hamiltonian(h_tot, ds, rho0.de)
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
-    h_int = _check_h_int(triple.h_int, ds, de)
-    h_norm = _operator_norm_hermitian(h_int)
-    v = spec.eigenvectors
+    h_norm = _operator_norm_hermitian(triple.h_int)
+    v, vd = spec.eigenvectors, linalg.dagger(spec.eigenvectors)
     chi = _pure_vector(rho0.matrix)
-
-    if chi is not None:
-        chi_h = linalg.dagger(v) @ chi
-    else:
-        rho_h = linalg.dagger(v) @ rho0.matrix @ v
+    rho_h = vd @ chi if chi is not None else vd @ rho0.matrix @ v  # V† chi when pure
+    if regularize is not None:
+        reg_h = vd @ regularize_state(rho0, regularize).matrix @ v
 
     records = []
     for t in ts:
         phase = np.exp(-1j * spec.eigenvalues * t)
         if chi is not None:
-            chi_t = v @ (phase * chi_h)
-            state = BipartiteState(ds=ds, de=de, matrix=np.outer(chi_t, chi_t.conj()))
-            ev = _rank_one(chi_t, ds, state.matrix)
+            chi_t = v @ (phase * rho_h)
+            ev = _rank_one(chi_t, ds, np.outer(chi_t, chi_t.conj()))
         else:
-            w = v * phase
-            mat = w @ rho_h @ linalg.dagger(w)
-            state = BipartiteState(ds=ds, de=de, matrix=(mat + linalg.dagger(mat)) / 2)
-            ev = _dense(state.matrix, ds)
-        rate_ev = ev
-        if regularize is not None:
-            rate_ev = _eigenbasis(regularize_state(state, regularize).matrix, ds)
-        report = _rate_report(rate_ev, h_int, h_norm, ())
+            ev = _dense(_conjugate(v * phase, rho_h), ds)
+        rate_ev = ev if regularize is None else _dense(_conjugate(v * phase, reg_h), ds)
+        report = _rate_report(rate_ev, triple.h_int, h_norm, ())
         records.append(
             TrajectoryRecord(
                 entropy=_spectral_entropy(ev.lam),

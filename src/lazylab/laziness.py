@@ -314,6 +314,7 @@ def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> Commut
     """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
     if tol is None:
         tol = default_lazy_tolerance(rho.ds, rho.de)
+    linalg._require_tolerance(tol, "tol")
     basis = _eigenbasis(rho.matrix, rho.ds)
     tn = basis.comm_trace_norm
     return CommutatorReport(
@@ -355,6 +356,7 @@ def pinching_residual(rho: BipartiteState, cluster_tol: float | None = None) -> 
     """
     if cluster_tol is None:
         cluster_tol = default_lazy_tolerance(rho.ds, rho.de)
+    linalg._require_tolerance(cluster_tol, "cluster_tol")
     basis = _eigenbasis(rho.matrix, rho.ds)
     labels = _cluster_labels(basis.lam, cluster_tol)
     return _trace_norm_hermitian(basis.weigh_blocks(labels[:, None] != labels[None, :]))

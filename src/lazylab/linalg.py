@@ -17,7 +17,7 @@ import numpy as np
 # Every tolerance and default of the package: value  # kind (absolute, relative, per ds*de): verdict
 HERMITICITY_RTOL = 1e-10  # relative to 1 + ||m||_F: an operator is Hermitian
 DENSITY_TOL = 1e-10  # absolute: rho has trace 1 and lam_min >= -tol
-NORM_TOL = 1e-10  # absolute: a vector is unit, probabilities sum to 1, a basis is orthonormal
+NORM_TOL = 1e-10  # absolute: a vector is unit (|<v|v> - 1|), probabilities sum to 1, a basis is orthonormal
 NEGATIVE_PROB_TOL = 1e-12  # absolute: a probability p >= -tol counts as non-negative
 PURITY_TOL = 1e-10  # absolute: a state is pure when tr rho^2 > 1 - tol
 SCHMIDT_CUTOFF = 1e-12  # absolute: a Schmidt coefficient or purified eigenvalue counts in the rank
@@ -28,6 +28,12 @@ PROJECTOR_TOL = 1e-8  # absolute, Frobenius: spectral_pinch's projectors resolve
 IMAG_TOL = 1e-10  # absolute: the imaginary residue of a rate is roundoff
 DEFAULT_DETECT_THRESHOLD = 1e-8  # absolute: detect_discord fires when a |purity rate| exceeds it
 FD_STEP = 1e-5  # absolute time: the finite-difference step (rate oracle, detect_discord --fd)
+
+
+def _require_tolerance(value, name: str) -> None:
+    """Refuse a tolerance or threshold ``name`` that is not finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _complex_stack(m) -> np.ndarray:

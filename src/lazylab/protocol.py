@@ -140,6 +140,7 @@ def detect_discord(
     finite difference of the purity, mimicking an experiment that can
     only measure purity at nearby times.
     """
+    linalg._require_tolerance(threshold, "threshold")
     rates = []
     for trials in _trial_chunks(samples, rho.dim):
         with _naming_trials(trials):
@@ -183,6 +184,7 @@ def sparsity_scan(
         )
     if lazy_tol is None:
         lazy_tol = default_lazy_tolerance(ds, de)
+    linalg._require_tolerance(lazy_tol, "lazy_tol")
     dim = ds * de
     chunks = _trial_chunks(samples, dim)
     arr = np.empty(samples)

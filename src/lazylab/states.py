@@ -157,13 +157,13 @@ class SpectralProjection:
 
 
 def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
-    """chi flattened, checked to have length ds*de and norm 1 within NORM_TOL."""
+    """chi flattened, checked to have length ds*de and |<chi|chi> - 1| <= NORM_TOL."""
     vec = np.asarray(chi, dtype=complex).reshape(-1)
     if vec.size != ds * de:
         raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector has norm {nrm:.12g}, expected 1")
+    nrm2 = (vec * vec.conj()).sum().real  # summed as tr |v><v| is, so the density rule agrees
+    if abs(nrm2 - 1.0) > NORM_TOL:
+        raise ValueError(f"state vector has squared norm <v|v> = {nrm2:.12g}, expected 1")
     return vec
 
 

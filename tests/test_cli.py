@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lazylab import statefile
+from lazylab import haar_random_pure, record_trajectory, statefile
 from lazylab.cli import main
 
 from .cli_runner import run_lazylab
@@ -173,6 +173,29 @@ def test_analyze_tol_override():
     assert payload["commutator"]["tolerance"] == 1.0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["analyze", str(GOLDEN / "bell.json"), "--json", "--tol"], "tol"),
+        (["sparsity", "--ds", "2", "--de", "2", "--samples", "5", "--lazy-tol"], "lazy_tol"),
+        (["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--threshold"], "threshold"),
+        (["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--fd", "--fd-step"], "step"),
+    ],
+    ids=["tol", "lazy-tol", "threshold", "fd-step"],
+)
+def test_tolerances_and_steps_must_be_finite_and_non_negative(args, name, value, capsys):
+    assert main([*args, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be finite" in captured.err
+
+
+def test_a_zero_tolerance_is_valid(capsys):
+    assert main(["analyze", str(GOLDEN / "bell.json"), "--json", "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["commutator"]["tolerance"] == 0.0
+
+
 # ---------------------------------------------------------------- evolve
 
 
@@ -240,6 +263,35 @@ def test_evolve_validates_grid():
         "--t-max", "1", "--steps", "1", check=False,
     )
     assert proc.returncode == 2
+
+
+def test_evolve_regularize_end_to_end(tmp_path):
+    # a pure product has rank-one rho_S: its entropy rate needs --regularize
+    chi = np.kron(haar_random_pure(2, 11), haar_random_pure(2, 12))
+    path = tmp_path / "prod_pure.json"
+    statefile.save(path, statefile.from_vector(chi, 2, 2))
+    h = GOLDEN / "hamiltonian_2x2.json"
+    args = ("evolve", str(path), str(h), "--t-max", "1.5", "--steps", "6")
+    assert run_cli(*args, check=False).returncode == 3
+
+    lines = run_cli(*args, "--regularize", "1e-6").stdout.decode().strip().split("\n")
+    header = lines[0].split(",")
+    traj = record_trajectory(
+        statefile.load_state(path),
+        statefile.load_hamiltonian(h),
+        np.linspace(0.0, 1.5, 6),
+        regularize=1e-6,
+    )
+    assert len(lines) == 1 + len(traj.records)
+    for line, t, rec in zip(lines[1:], traj.times, traj.records):
+        want = [t, *(getattr(rec, name) for name in header[1:])]
+        for got, v in zip(map(float, line.split(",")), want):
+            assert abs(got - v) <= 1e-12 * (1.0 + abs(v)), (header, line, want)
+
+    for t_max in ("nan", "inf"):
+        proc = run_cli(*args[:3], "--t-max", t_max, "--steps", "3", check=False)
+        assert proc.returncode == 2
+        assert b"times must be finite" in proc.stderr
 
 
 def test_evolve_wrong_kind_exit_2():

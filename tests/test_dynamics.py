@@ -25,6 +25,7 @@ from lazylab import (
     von_neumann_entropy,
 )
 from lazylab.laziness import default_lazy_tolerance
+from lazylab.linalg import DENSITY_TOL
 
 from .conftest import (
     SIGMA_X,
@@ -159,6 +160,13 @@ def test_fd_rejects_bad_step_and_observable():
         finite_difference_rate(st, random_hermitian(4, 4), "energy")
 
 
+@pytest.mark.parametrize("step", [np.nan, np.inf, -1.0, 0.0])
+def test_fd_refuses_a_step_that_is_not_finite_and_positive(step):
+    st = random_full_rank_state(2, 2, 3)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        finite_difference_rate(st, random_hermitian(4, 4), "moment", h=step)
+
+
 def test_fd_entropy_advises_on_rank_deficiency():
     from lazylab import RankDeficientStateError, regularize_state
 
@@ -260,6 +268,73 @@ def test_trajectory_validates_times():
         record_trajectory(st, h, [0.3, 0.1])
     with pytest.raises(ValueError):
         record_trajectory(st, h, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_refuses_non_finite_times(bad):
+    st = random_full_rank_state(2, 2, 91)
+    with pytest.raises(ValueError, match="times must be finite"):
+        record_trajectory(st, random_hermitian(4, 92), [0.0, 0.5, bad])
+
+
+def _lam_min_at_edge(dim, seed):
+    """A density matrix with lam_min = -DENSITY_TOL exactly, trace 1."""
+    w, v = np.linalg.eigh(ginibre_mixed(dim, dim - 1, seed))
+    w[0] = -DENSITY_TOL
+    w[-1] += DENSITY_TOL
+    m = (v * w) @ linalg.dagger(v)
+    return (m + linalg.dagger(m)) / 2
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (2, 3), (4, 4)])
+def test_trajectory_completes_for_every_rho0_its_state_accepted(ds, de):
+    # evolution moves the trace and lam_min of rho0 by roundoff; a rho0 that
+    # BipartiteState accepted at the edge of DENSITY_TOL must not be refused
+    # at a later step (lam_min < 0 needs regularize for the entropy rate);
+    # at 2x3, seed 7 with trace 1 + DENSITY_TOL was refused already at t = 0
+    dim = ds * de
+    h_tot = random_hermitian(dim, 107)
+    times = np.linspace(0.0, 2.0, 21)
+    runs = 0
+    for seed in range(20):
+        edges = [
+            (ginibre_mixed(dim, dim, seed) * (1 + DENSITY_TOL), (None, 1e-3)),
+            (ginibre_mixed(dim, dim, seed) * (1 - DENSITY_TOL), (None, 1e-3)),
+            (_lam_min_at_edge(dim, seed), (1e-3,)),
+        ]
+        for mat, regularizations in edges:
+            try:
+                rho0 = BipartiteState(ds=ds, de=de, matrix=mat)
+            except ValueError:
+                continue
+            for regularize in regularizations:
+                traj = record_trajectory(rho0, h_tot, times, regularize=regularize)
+                assert np.isfinite([rec.entropy_rate for rec in traj.records]).all()
+                runs += 1
+    assert runs >= 20
+
+
+def test_trajectory_checks_its_inputs_once(monkeypatch):
+    # rho0 was validated when it was built: no step builds or re-validates a
+    # state, and with regularize only the regularized rho0 is built, once
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    states = {
+        "mixed": BipartiteState(ds=4, de=4, matrix=ginibre_mixed(16, 16, 5)),
+        "pure": pure_state(haar_random_pure(16, 6), 4, 4),
+    }
+    h_tot = random_hermitian(16, 7)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for kind, rho0 in states.items():
+        for regularize, expected in [(None, 0), (1e-3, 1)]:
+            calls.clear()
+            record_trajectory(rho0, h_tot, np.linspace(0, 1, 5), regularize=regularize)
+            assert len(calls) == expected, (kind, regularize, calls)
 
 
 def _near_pure(ds, de, seed):

@@ -87,6 +87,16 @@ def test_sparsity_scan_and_bound_sweep_validate_samples():
         bound_sweep(2, 2, samples=0, seed=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_protocol_tolerances_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match="^lazy_tol must be finite and >= 0"):
+        sparsity_scan(2, 2, samples=5, rank=4, seed=1, lazy_tol=bad)
+    with pytest.raises(ValueError, match="^threshold must be finite and >= 0"):
+        detect_discord(maximally_entangled(2), samples=2, seed=1, threshold=bad)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        detect_discord(maximally_entangled(2), samples=2, seed=1, use_fd=True, fd_step=bad)
+
+
 @pytest.mark.parametrize("ds, de", [(1, 4), (4, 1)])
 def test_random_couplings_refuse_a_one_dimensional_factor(ds, de):
     # every partial-traceless coupling is zero there, so the draw's roundoff

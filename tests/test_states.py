@@ -189,6 +189,20 @@ def test_schmidt_rejects_non_unit_vector():
         schmidt_decompose(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
 
 
+@pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (3, 5)])
+def test_pure_state_decides_a_unit_vector_by_the_vector_rule(ds, de):
+    # NORM_TOL bounds |<v|v> - 1|; a vector it accepts has tr |v><v| = <v|v>,
+    # so the density rule's trace check never refuses it
+    for seed in range(10):
+        v = haar_random_pure(ds * de, seed)
+        for k in range(1, 13):
+            for sign in (1, -1):
+                try:
+                    pure_state(v * (1 + sign * k * 1e-11), ds, de)
+                except ValueError as exc:
+                    assert str(exc).startswith("state vector has squared norm"), (seed, k, sign)
+
+
 def test_purify_pure_input():
     chi, d, da = purify(np.diag([1.0, 0.0]).astype(complex))
     assert (d, da) == (2, 1)
