@@ -20,8 +20,8 @@ from . import statefile
 from .dynamics import TrajectoryRecord, decompose_hamiltonian, record_trajectory
 from .laziness import (
     RankDeficientStateError,
+    _commutator_norms,
     correlation_measures,
-    laziness_commutator,
     rate_bounds,
 )
 from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
@@ -132,14 +132,11 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 def cmd_analyze(args) -> int:
     state = statefile.load_state(args.state)
-    comm = laziness_commutator(state, tol=args.tol)
-    corr = correlation_measures(state)
+    # every field below reads the state's one evaluator; the dense commutator is not printed
     payload = {
         "dims": [state.ds, state.de],
-        "commutator": {
-            f.name: getattr(comm, f.name) for f in dataclasses.fields(comm) if f.name != "commutator"
-        },
-        "correlations": dataclasses.asdict(corr),
+        "commutator": _commutator_norms(state, args.tol),
+        "correlations": dataclasses.asdict(correlation_measures(state)),
     }
     if args.hamiltonian is not None:
         h_tot = statefile.load_hamiltonian(args.hamiltonian)

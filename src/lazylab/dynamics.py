@@ -20,8 +20,8 @@ from .laziness import (
     _pure_vector,
     _rank_one,
     _rate_report,
+    _regularized,
     _spectral_entropy,
-    regularize_state,
 )
 from .linalg import FD_STEP
 from .states import BipartiteState
@@ -178,8 +178,8 @@ def record_trajectory(
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). With
-    ``regularize`` the regularized rho0 is formed once and evolved
-    alongside (W I W† = I); the rates come from its dense evaluator.
+    ``regularize`` the rates come from the regularized evaluator derived
+    from each step's (W I W† = I), with no eigensolve of its own.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -196,8 +196,6 @@ def record_trajectory(
     v, vd = spec.eigenvectors, linalg.dagger(spec.eigenvectors)
     chi = _pure_vector(rho0.matrix)
     rho_h = vd @ chi if chi is not None else vd @ rho0.matrix @ v  # V† chi when pure
-    if regularize is not None:
-        reg_h = vd @ regularize_state(rho0, regularize).matrix @ v
 
     records = []
     for t in ts:
@@ -207,7 +205,7 @@ def record_trajectory(
             ev = _rank_one(chi_t, ds, np.outer(chi_t, chi_t.conj()))
         else:
             ev = _dense(_conjugate(v * phase, rho_h), ds)
-        rate_ev = ev if regularize is None else _dense(_conjugate(v * phase, reg_h), ds)
+        rate_ev = ev if regularize is None else _regularized(ev, regularize)
         report = _rate_report(rate_ev, triple.h_int, h_norm, ())
         records.append(
             TrajectoryRecord(

@@ -15,6 +15,19 @@ norms sum |eigvalsh(i C)| bound the rates. The rate of tr g(rho_S) is
 sum_i g'(lam_i) f_i over the diagonal f_i = (u† d rho_S/dt u)_ii of the
 reduced flow d rho_S/dt = -i (X - X†), X = tr_E(H_int rho_SE).
 
+Every public function reads one evaluator per BipartiteState, built on
+first use and kept on the (frozen) state as its rho_s is, so one answer
+factorizes rho_S once. A pure state's evaluator works from its Schmidt
+weights: ||C||_F = ||C||_1 / sqrt(2), S(rho_E) = S(rho_S), S(rho_SE) = 0
+and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
+
+Regularizing, rho_r = (1-d) rho_SE + d I/dim, keeps the eigenvectors u:
+lam_r = (1-d) lam + d/ds and rho'_r = (1-d) rho' + d I/dim. The identity
+sits in the diagonal blocks, which every commutator weighs by 0, so
+C_r = (1-d)^2 C, K_r is (1-d) times rho' weighed by ln lam_r, and the
+flow is (1-d) times rho_SE's, since tr_E(h) d/dim is Hermitian. The
+regularized evaluator is derived from rho_SE's without a new eigensolve.
+
 The kernel also takes states stacked along leading axes (the Monte Carlo
 protocols evaluate their samples that way); every per-state check then
 runs on each state, and its error carries the failing state's ``index``.
@@ -29,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import IMAG_TOL, LAZY_TOL_PER_DIM, PROJECTOR_TOL
-from .states import BipartiteState, SpectralProjection, _cluster_labels
+from .states import BipartiteState, SpectralProjection, _cluster_labels, _is_pure
 
 
 class RankDeficientStateError(ValueError):
@@ -173,9 +186,17 @@ class _Eigenbasis:
         """C = [rho_S (x) I, rho_SE]; anti-Hermitian, zero iff lazy."""
         return self.commutator(self.lam)
 
+    def commutator_trace_norm(self, f_lam: np.ndarray):
+        """||[f(rho_S) (x) I, rho_SE]||_1, given f at each lam."""
+        return _trace_norm_hermitian(1j * self.commutator(f_lam))
+
     @cached_property
     def comm_trace_norm(self):
         return _trace_norm_hermitian(1j * self.comm)
+
+    @cached_property
+    def comm_frobenius_norm(self) -> float:
+        return float(np.linalg.norm(self.comm))
 
     @cached_property
     def ln_comm(self) -> np.ndarray:
@@ -184,7 +205,7 @@ class _Eigenbasis:
 
     @cached_property
     def ln_comm_trace_norm(self):
-        return _trace_norm_hermitian(1j * self.ln_comm)
+        return self.commutator_trace_norm(self.ln_lam)
 
     def interaction_trace(self, h: np.ndarray) -> np.ndarray:
         """X = tr_E(h rho_SE) as one (ds, de·dim) @ (de·dim, ds) product; stacks broadcast."""
@@ -192,6 +213,40 @@ class _Eigenbasis:
         # rho_SE[k, (j, a)] rearranged to [(a, k), j], matching h[(i, a), k] read as [i, (a, k)]
         rho = self.mat.reshape(*self.mat.shape[:-1], ds, -1).swapaxes(-1, -3).swapaxes(-1, -2)
         return h.reshape(*h.shape[:-2], ds, -1) @ rho.reshape(*rho.shape[:-3], -1, ds)
+
+    def flow(self, h: np.ndarray) -> np.ndarray:
+        """f_i = (u† d rho_S/dt u)_ii with d rho_S/dt = -i (X - X†), X = tr_E(h rho_SE).
+
+        The local parts of H_tot would add [h_S, rho_S], whose diagonal here is 0.
+        """
+        x = self.interaction_trace(h)
+        return np.einsum("...ji,...jk,...ki->...i", self.u.conj(), -1j * (x - linalg.dagger(x)), self.u)
+
+    @cached_property
+    def system_entropy(self):
+        return _spectral_entropy(self.lam)
+
+    @cached_property
+    def environment_entropy(self):
+        ds = self.lam.shape[-1]
+        return von_neumann_entropy(
+            linalg.partial_trace(self.mat, ds, self.mat.shape[-1] // ds, keep="environment")
+        )
+
+    @cached_property
+    def total_entropy(self):
+        return von_neumann_entropy(self.mat)
+
+    @cached_property
+    def mutual_information(self):
+        return self.system_entropy + self.environment_entropy - self.total_entropy
+
+    @cached_property
+    def negativity(self) -> float:
+        """(||rho^{T_S}||_1 - 1) / 2, non-negative."""
+        ds = self.lam.shape[-1]
+        pt = linalg.partial_transpose_system(self.mat, ds, self.mat.shape[-1] // ds)
+        return max(0.0, (_trace_norm_hermitian(pt) - 1.0) / 2.0)
 
 
 def _rank_one_trace_norm(lam: np.ndarray, f_lam: np.ndarray):
@@ -229,18 +284,33 @@ def _pure_vector(mat: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class _RankOne(_Eigenbasis):
-    """A pure |chi><chi| (``mat``): trace norms and X come from M = chi.reshape(ds, de),
+    """A pure |chi><chi| (``mat``): norms, entropies and X come from M = chi.reshape(ds, de),
     rho_S = M M†; the inherited dense members are built only when asked for."""
 
     chi: np.ndarray
 
-    @cached_property
-    def comm_trace_norm(self) -> float:
-        return _rank_one_trace_norm(self.lam, self.lam)
+    def commutator_trace_norm(self, f_lam: np.ndarray) -> float:
+        return _rank_one_trace_norm(self.lam, f_lam)
 
     @cached_property
-    def ln_comm_trace_norm(self) -> float:
-        return _rank_one_trace_norm(self.lam, self.ln_lam)
+    def comm_trace_norm(self) -> float:
+        return self.commutator_trace_norm(self.lam)
+
+    @cached_property
+    def comm_frobenius_norm(self) -> float:
+        # C is rank two with eigenvalues +-i ||C||_1 / 2
+        return self.comm_trace_norm / 2**0.5
+
+    @cached_property
+    def environment_entropy(self) -> float:
+        # rho_E has rho_S's nonzero spectrum
+        return self.system_entropy
+
+    total_entropy = 0.0
+
+    @cached_property
+    def negativity(self) -> float:
+        return max(0.0, (float(np.sqrt(self.lam).sum()) ** 2 - 1.0) / 2.0)
 
     def interaction_trace(self, h: np.ndarray) -> np.ndarray:
         """X = tr_E(h |chi><chi|) = Phi M† with Phi = (h chi).reshape(ds, de)."""
@@ -274,6 +344,42 @@ def _dense(mat: np.ndarray, ds: int) -> _Eigenbasis:
         linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"), name="rho_S"
     )
     return _Eigenbasis(lam=spec.eigenvalues, u=spec.eigenvectors, mat=mat)
+
+
+@dataclass(frozen=True)
+class _Regularized(_Eigenbasis):
+    """(1-d) rho_SE + d I/dim (``mat``) read from the evaluator ``base`` of rho_SE:
+    C, every commutator trace norm and the flow are base's, scaled."""
+
+    base: _Eigenbasis
+    d: float
+
+    def commutator_trace_norm(self, f_lam: np.ndarray):
+        return (1.0 - self.d) * self.base.commutator_trace_norm(f_lam)
+
+    @cached_property
+    def comm_trace_norm(self):
+        return (1.0 - self.d) ** 2 * self.base.comm_trace_norm
+
+    def flow(self, h: np.ndarray) -> np.ndarray:
+        return (1.0 - self.d) * self.base.flow(h)
+
+
+def _regularized(ev: _Eigenbasis, d: float) -> _Regularized:
+    """The evaluator of (1-d) rho_SE + d I/dim, derived from rho_SE's evaluator ev."""
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"regularization weight must be in (0, 1), got {d}")
+    ds, dim = ev.lam.shape[-1], ev.mat.shape[-1]
+    mat = (1.0 - d) * ev.mat + d * np.eye(dim) / dim
+    return _Regularized(lam=(1.0 - d) * ev.lam + d / ds, u=ev.u, mat=mat, base=ev, d=d)
+
+
+def _evaluator(rho: BipartiteState) -> _Eigenbasis:
+    """rho's evaluator, built on first use and kept on the frozen state, as rho.rho_s is."""
+    ev = vars(rho).get("_evaluator")
+    if ev is None:
+        ev = vars(rho)["_evaluator"] = _eigenbasis(rho.matrix, rho.ds)
+    return ev
 
 
 def _spectral_entropy(lam: np.ndarray):
@@ -310,20 +416,26 @@ def default_lazy_tolerance(ds: int, de: int) -> float:
     return LAZY_TOL_PER_DIM * ds * de
 
 
-def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> CommutatorReport:
-    """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
+def _commutator_norms(rho: BipartiteState, tol: float | None) -> dict:
+    """Every CommutatorReport field but the dense commutator, as a dict."""
     if tol is None:
         tol = default_lazy_tolerance(rho.ds, rho.de)
     linalg._require_tolerance(tol, "tol")
-    basis = _eigenbasis(rho.matrix, rho.ds)
-    tn = basis.comm_trace_norm
-    return CommutatorReport(
-        commutator=basis.unrotate(basis.comm),
-        trace_norm=tn,
-        frobenius_norm=float(np.linalg.norm(basis.comm)),
-        lazy=bool(tn <= tol),
-        tolerance=float(tol),
-    )
+    ev = _evaluator(rho)
+    tn = ev.comm_trace_norm
+    return {
+        "trace_norm": tn,
+        "frobenius_norm": ev.comm_frobenius_norm,
+        "lazy": bool(tn <= tol),
+        "tolerance": float(tol),
+    }
+
+
+def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> CommutatorReport:
+    """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
+    norms = _commutator_norms(rho, tol)
+    ev = _evaluator(rho)
+    return CommutatorReport(commutator=ev.unrotate(ev.comm), **norms)
 
 
 def spectral_pinch(rho: BipartiteState, proj: SpectralProjection) -> BipartiteState:
@@ -357,22 +469,26 @@ def pinching_residual(rho: BipartiteState, cluster_tol: float | None = None) -> 
     if cluster_tol is None:
         cluster_tol = default_lazy_tolerance(rho.ds, rho.de)
     linalg._require_tolerance(cluster_tol, "cluster_tol")
-    basis = _eigenbasis(rho.matrix, rho.ds)
+    basis = _evaluator(rho)
     labels = _cluster_labels(basis.lam, cluster_tol)
     return _trace_norm_hermitian(basis.weigh_blocks(labels[:, None] != labels[None, :]))
 
 
 def regularize_state(rho: BipartiteState, delta: float) -> BipartiteState:
-    """(1 - delta) rho + delta I/dim, pushing rho_S away from rank deficiency."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"regularization weight must be in (0, 1), got {delta}")
-    dim = rho.dim
-    mat = (1.0 - delta) * rho.matrix + delta * np.eye(dim) / dim
-    return BipartiteState(ds=rho.ds, de=rho.de, matrix=mat)
+    """(1 - delta) rho + delta I/dim, pushing rho_S away from rank deficiency.
+
+    The result keeps the evaluator derived from rho's, so it is not factorized again.
+    """
+    ev = _regularized(_evaluator(rho), delta)
+    st = BipartiteState(ds=rho.ds, de=rho.de, matrix=ev.mat)
+    vars(st)["_evaluator"] = ev
+    return st
 
 
-def _prepared(rho: BipartiteState, regularize: float | None) -> BipartiteState:
-    return rho if regularize is None else regularize_state(rho, regularize)
+def _prepared(rho: BipartiteState, regularize: float | None) -> _Eigenbasis:
+    """rho's evaluator, or with ``regularize`` the regularized state's, derived from it."""
+    ev = _evaluator(rho)
+    return ev if regularize is None else _regularized(ev, regularize)
 
 
 def _require_real(value, *, what: str):
@@ -387,15 +503,6 @@ def _require_real(value, *, what: str):
 
 def _check_h_int(h_int, ds: int, de: int) -> np.ndarray:
     return linalg._require_dims(linalg.require_hermitian(h_int, name="h_int"), ds, de, "h_int")
-
-
-def _flow(ev: _Eigenbasis, h: np.ndarray) -> np.ndarray:
-    """f_i = (u† d rho_S/dt u)_ii with d rho_S/dt = -i (X - X†), X = tr_E(h rho_SE).
-
-    The local parts of H_tot would add [h_S, rho_S], whose diagonal here is 0.
-    """
-    x = ev.interaction_trace(h)
-    return np.einsum("...ji,...jk,...ki->...i", ev.u.conj(), -1j * (x - linalg.dagger(x)), ev.u)
 
 
 def _flow_rate(ev: _Eigenbasis, flow: np.ndarray, n=None):
@@ -418,7 +525,7 @@ def _rate_report(ev: _Eigenbasis, h: np.ndarray, h_norm, ns: tuple[int, ...]) ->
 
     For stacked (state, h) pairs every field holds one value per pair.
     """
-    flow = _flow(ev, h)
+    flow = ev.flow(h)
     return RateReport(
         entropy_rate=_flow_rate(ev, flow),
         purity_rate=_flow_rate(ev, flow, 2),
@@ -440,8 +547,8 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
     evaluated from the reduced flow as -sum_i ln(lam_i) f_i.
     """
     h = _check_h_int(h_int, rho.ds, rho.de)
-    ev = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
-    return _flow_rate(ev, _flow(ev, h))
+    ev = _prepared(rho, regularize)
+    return _flow_rate(ev, ev.flow(h))
 
 
 def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
@@ -455,8 +562,8 @@ def moment_rate(rho: BipartiteState, h_int, n: int) -> float:
     """
     n = _moment_order(n)
     h = _check_h_int(h_int, rho.ds, rho.de)
-    ev = _eigenbasis(rho.matrix, rho.ds)
-    return _flow_rate(ev, _flow(ev, h), n)
+    ev = _evaluator(rho)
+    return _flow_rate(ev, ev.flow(h), n)
 
 
 def purity_rate(rho: BipartiteState, h_int) -> float:
@@ -479,21 +586,15 @@ def rate_bounds(
     """
     h = _check_h_int(h_int, rho.ds, rho.de)
     h_norm = _operator_norm_hermitian(h)
-    st = _prepared(rho, regularize)
-    report = _rate_report(_eigenbasis(st.matrix, st.ds), h, h_norm, ns)
-    if not st.is_pure():
+    ev = _prepared(rho, regularize)
+    report = _rate_report(ev, h, h_norm, ns)
+    if not _is_pure(ev.mat):
         return report
-    return replace(report, mi_purity_bound=_mi_purity_bound(st.matrix, st.ds, h_norm))
+    return replace(report, mi_purity_bound=_mi_purity_bound(ev.mutual_information, h_norm))
 
 
-def _mi_purity_bound(mat: np.ndarray, ds: int, h_norm):
-    """4 ||H_int|| sqrt(2 I(S:E)), the purity-rate bound for a pure total state mat."""
-    de = mat.shape[-1] // ds
-    mi = (
-        von_neumann_entropy(linalg.partial_trace(mat, ds, de, keep="system"))
-        + von_neumann_entropy(linalg.partial_trace(mat, ds, de, keep="environment"))
-        - von_neumann_entropy(mat)
-    )
+def _mi_purity_bound(mi, h_norm):
+    """4 ||H_int|| sqrt(2 I(S:E)), the purity-rate bound for a pure total state."""
     return _per_matrix(4.0 * h_norm * np.sqrt(2.0 * np.maximum(mi, 0.0)))
 
 
@@ -508,7 +609,7 @@ def witness_hamiltonian(
     interaction term without local components. With ``regularize`` the
     witness and prediction refer to the regularized state.
     """
-    basis = _eigenbasis(_prepared(rho, regularize).matrix, rho.ds)
+    basis = _prepared(rho, regularize)
     k = basis.ln_comm
     h_int = basis.unrotate(1j * k)
     h_int = (h_int + linalg.dagger(h_int)) / 2
@@ -518,8 +619,7 @@ def witness_hamiltonian(
 
 def negativity(rho: BipartiteState) -> float:
     """(||rho^{T_S}||_1 - 1) / 2, non-negative."""
-    pt = linalg.partial_transpose_system(rho.matrix, rho.ds, rho.de)
-    return max(0.0, (_trace_norm_hermitian(pt) - 1.0) / 2.0)
+    return _evaluator(rho).negativity
 
 
 def correlation_measures(rho: BipartiteState) -> CorrelationReport:
@@ -530,11 +630,9 @@ def correlation_measures(rho: BipartiteState) -> CorrelationReport:
     environment) discord, and the robustness (sum_i sqrt p_i)^2 - 1 equals
     twice the negativity, which is how it is evaluated.
     """
-    s_sys = von_neumann_entropy(rho.rho_s)
-    s_env = von_neumann_entropy(rho.rho_e)
-    s_tot = von_neumann_entropy(rho.matrix)
-    mi = s_sys + s_env - s_tot
-    neg = negativity(rho)
+    ev = _evaluator(rho)
+    s_sys = ev.system_entropy
+    neg = ev.negativity
 
     ent = disc = rob = None
     if rho.is_pure():
@@ -542,11 +640,11 @@ def correlation_measures(rho: BipartiteState) -> CorrelationReport:
         rob = 2.0 * neg
 
     return CorrelationReport(
-        mutual_information=mi,
+        mutual_information=ev.mutual_information,
         negativity=neg,
         system_entropy=s_sys,
-        environment_entropy=s_env,
-        total_entropy=s_tot,
+        environment_entropy=ev.environment_entropy,
+        total_entropy=ev.total_entropy,
         entanglement_entropy=ent,
         pure_discord=disc,
         robustness_pure=rob,

@@ -243,7 +243,8 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
         mi_bound = np.full(len(trials), np.nan)
         if pure.any():
             with _naming_trials(np.asarray(trials)[pure]):
-                mi_bound[pure] = _mi_purity_bound(mats[pure], ds, h_norm[pure])
+                mi = _eigenbasis(mats[pure], ds).mutual_information
+                mi_bound[pure] = _mi_purity_bound(mi, h_norm[pure])
         er, eb = report.entropy_rate, report.entropy_bound
         pr, pb = report.purity_rate, report.purity_bound
         columns = (

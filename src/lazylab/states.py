@@ -40,8 +40,9 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     eigenvalues are computed only when that fails, and they decide.
     Leading axes stack matrices, each checked on its own; an error names
     the first failing one and, for a stack, carries its position as
-    ``index``.
+    ``index``. ``tol`` must be finite and >= 0.
     """
+    linalg._require_tolerance(tol, "tol")
     mat = np.asarray(rho, dtype=complex)
     shifted = linalg.require_hermitian(mat, name=name)
     tr = mat.trace(axis1=-2, axis2=-1)
@@ -336,8 +337,10 @@ def spectral_projection(rho, cluster_tol: float = CLUSTER_TOL) -> SpectralProjec
 
     Eigenvalues whose gap is below cluster_tol (relative to the largest
     magnitude) share one projector; the surviving values are therefore
-    pairwise separated by more than the tolerance.
+    pairwise separated by more than the tolerance, which must be finite
+    and >= 0.
     """
+    linalg._require_tolerance(cluster_tol, "cluster_tol")
     mat = linalg.require_hermitian(rho, name="rho")
     spec = linalg.hermitian_eig(mat)
     w = spec.eigenvalues[::-1]

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lazylab import haar_random_pure, record_trajectory, statefile
+from lazylab import haar_random_pure, random_hermitian, record_trajectory, statefile
 from lazylab.cli import main
 
 from .cli_runner import run_lazylab
@@ -414,3 +414,46 @@ def test_main_can_be_reused_in_process(tmp_path, capsys):
     assert main(["analyze", path, h, "--regularize", "1e-6", "--json"]) == 0
     assert main(["analyze", path, h, "--json"]) == 3
     assert "regularize" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def analyze_8x8_files(tmp_path_factory):
+    """gen haarpure|ginibre --ds 8 --de 8 state files and a 64 x 64 Hamiltonian file."""
+    root = tmp_path_factory.mktemp("analyze_8x8")
+    paths = {"H": str(root / "h.json")}
+    statefile.save(paths["H"], statefile.from_hermitian(random_hermitian(64, 4), 8, 8))
+    for kind in ("haarpure", "ginibre"):
+        paths[kind] = str(root / f"{kind}.json")
+        assert main(["gen", kind, "--ds", "8", "--de", "8", "--seed", "3", "--out", paths[kind]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "kind, args, expected",
+    [
+        ("haarpure", ["--json"], 0),
+        ("haarpure", ["H", "--json"], 1),
+        ("haarpure", ["H", "--regularize", "1e-3"], 1),
+        ("ginibre", ["--json"], 3),
+        ("ginibre", ["H", "--json"], 5),
+        ("ginibre", ["H", "--regularize", "1e-3"], 5),
+    ],
+)
+def test_analyze_factorizes_rho_s_once(analyze_8x8_files, monkeypatch, capsys, kind, args, expected):
+    # 64 x 64 eigvalsh per answer: ||H_int|| once; on a pure state nothing else
+    # (commutator norms, entropies, negativity and the regularized ||K||_1 are
+    # closed forms of the Schmidt weights); on a mixed one ||C||_1, S(rho_SE)
+    # and the partial transpose, plus ||K||_1 with H, regularized or not
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *a_args, **kwargs):
+        if np.shape(a)[-2:] == (64, 64):
+            calls.append(np.shape(a))
+        return eigvalsh(a, *a_args, **kwargs)
+
+    argv = ["analyze", analyze_8x8_files[kind], *(analyze_8x8_files.get(a, a) for a in args)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == expected

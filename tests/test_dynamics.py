@@ -316,7 +316,7 @@ def test_trajectory_completes_for_every_rho0_its_state_accepted(ds, de):
 
 def test_trajectory_checks_its_inputs_once(monkeypatch):
     # rho0 was validated when it was built: no step builds or re-validates a
-    # state, and with regularize only the regularized rho0 is built, once
+    # state, and regularize builds none either (its evaluator is derived)
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -331,10 +331,9 @@ def test_trajectory_checks_its_inputs_once(monkeypatch):
     h_tot = random_hermitian(16, 7)
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     for kind, rho0 in states.items():
-        for regularize, expected in [(None, 0), (1e-3, 1)]:
-            calls.clear()
+        for regularize in (None, 1e-3):
             record_trajectory(rho0, h_tot, np.linspace(0, 1, 5), regularize=regularize)
-            assert len(calls) == expected, (kind, regularize, calls)
+            assert calls == [], (kind, regularize, calls)
 
 
 def _near_pure(ds, de, seed):
@@ -410,11 +409,19 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
 
 
 @pytest.mark.parametrize(
-    "make, per_step", [(random_pure_bipartite, 0), (random_full_rank_state, 2)]
+    "make, per_step, regularize",
+    [
+        pytest.param(random_pure_bipartite, 0, None, id="random_pure_bipartite-0"),
+        pytest.param(random_full_rank_state, 2, None, id="random_full_rank_state-2"),
+        (random_pure_bipartite, 0, 1e-3),
+        (random_full_rank_state, 2, 1e-3),
+    ],
 )
-def test_trajectory_factorizations_per_step(monkeypatch, make, per_step):
+def test_trajectory_factorizations_per_step(monkeypatch, make, per_step, regularize):
     # pure states take the rank-one path: no dim x dim eigensolve per step,
-    # only the one-off ||H_int||; mixed ones need ||C||_1 and ||K||_1 per step
+    # only the one-off ||H_int||; mixed ones need ||C||_1 and ||K||_1 per step.
+    # The regularized rates add none: ||C_r||_1 = (1-d)^2 ||C||_1, and K_r is
+    # read from the same rotated state (closed form when pure)
     ds = de = 4
     steps = 5
     calls = []
@@ -428,5 +435,5 @@ def test_trajectory_factorizations_per_step(monkeypatch, make, per_step):
     rho0 = make(ds, de, 95)
     h_tot = random_hermitian(ds * de, 96)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    record_trajectory(rho0, h_tot, np.linspace(0.0, 0.4, steps), ns=(3,))
+    record_trajectory(rho0, h_tot, np.linspace(0.0, 0.4, steps), ns=(3,), regularize=regularize)
     assert len(calls) == per_step * steps + 1

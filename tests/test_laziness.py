@@ -40,9 +40,11 @@ from lazylab.laziness import (
     RateReport,
     _dense,
     _eigenbasis,
+    _operator_norm_hermitian,
     _RankOne,
     _pure_vector,
     _rate_report,
+    _regularized,
     default_lazy_tolerance,
 )
 from lazylab.protocol import sparsity_scan
@@ -779,7 +781,8 @@ def test_generated_rates_match_literal_definitions(case):
             _assert_close(bounds.entropy_bound, h_norm * linalg.trace_norm(k))
             _assert_close(bounds.purity_bound, 2.0 * h_norm * linalg.trace_norm(c))
             if st.is_pure():
-                _assert_close(bounds.mi_purity_bound, 4.0 * h_norm * np.sqrt(2.0 * max(mi, 0.0)))
+                # I itself, not the bound, whose square root magnifies roundoff in I
+                _assert_close((bounds.mi_purity_bound / (4.0 * h_norm)) ** 2 / 2.0, mi)
             else:
                 assert bounds.mi_purity_bound is None
 
@@ -792,9 +795,13 @@ def test_generated_rates_match_literal_definitions(case):
             with pytest.raises(RankDeficientStateError):
                 _rate_report(ev, hs, h_norms, (1, 3, 4))
         return
-    reports = [_rate_report(ev, hs, h_norms, (1, 3, 4)) for ev in (dense, pure)]
+    _assert_reports_close(*(_rate_report(ev, hs, h_norms, (1, 3, 4)) for ev in (pure, dense)))
+
+
+def _assert_reports_close(actual_report, expected_report):
+    """Every RateReport field within 1e-12 (1 + |expected|), moment orders (1, 3, 4)."""
     for f in fields(RateReport):
-        expected, actual = (getattr(r, f.name) for r in reports)
+        expected, actual = (getattr(r, f.name) for r in (expected_report, actual_report))
         if f.name == "moment_rates":
             assert sorted(actual) == sorted(expected) == [1, 3, 4]
             for n in expected:
@@ -803,6 +810,28 @@ def test_generated_rates_match_literal_definitions(case):
             assert actual == expected
         else:
             _assert_close(actual, expected)
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-11])
+@pytest.mark.parametrize("kind", ["ginibre", "pure", "product"])
+@pytest.mark.parametrize("ds, de", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 4)])
+def test_regularized_evaluator_matches_the_formed_state(ds, de, kind, d):
+    # (1-d) rho + d I/dim keeps rho_S's eigenvectors: the evaluator derived from
+    # rho's reads the rates and bounds of the explicitly formed state; the pure
+    # product has rank-one rho_S, which only the regularization makes full rank
+    dim = ds * de
+    seed = 10 * ds + de
+    if kind == "ginibre":
+        mat = ginibre_mixed(dim, dim, seed)
+    else:
+        chi = (haar_random_pure(dim, seed) if kind == "pure"
+               else np.kron(haar_random_pure(ds, seed), haar_random_pure(de, seed + 1)))
+        mat = np.outer(chi, chi.conj())
+    hs = np.stack([random_hermitian(dim, derive_rng(seed, k)) for k in range(3)])
+    h_norms = _operator_norm_hermitian(hs)
+    derived = _regularized(_eigenbasis(mat, ds), d)
+    formed = _dense((1.0 - d) * mat + d * np.eye(dim) / dim, ds)
+    _assert_reports_close(*(_rate_report(ev, hs, h_norms, (1, 3, 4)) for ev in (derived, formed)))
 
 
 @pytest.mark.parametrize("dim", [4, 16, 64])

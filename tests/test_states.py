@@ -298,6 +298,16 @@ def test_validate_density_matrix_rejects_bad_inputs():
         validate_density_matrix(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_tolerances_must_be_finite_and_non_negative(bad):
+    # a nan tol would make every comparison False and accept lam_min = -0.5;
+    # a nan cluster_tol would merge 0.7 and 0.3 into one projector
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        validate_density_matrix(np.diag([1.5, -0.5]), tol=bad)
+    with pytest.raises(ValueError, match="cluster_tol must be finite and >= 0"):
+        spectral_projection(np.diag([0.7, 0.3]), cluster_tol=bad)
+
+
 def test_hermiticity_has_one_verdict_and_one_message():
     # tol= loosens the trace and lam_min only; Hermiticity is require_hermitian's
     m = np.array([[0.5, 1e-6], [0.0, 0.5]])
