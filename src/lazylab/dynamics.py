@@ -174,7 +174,8 @@ def record_trajectory(
     is rho(t) = W rho_h W† for W = V diag(exp(-i E t)); one factorization
     of its rho_S yields the reduced observables, the commutator norms and
     every rate. A pure rho0 = |chi><chi| (to within dim * eps) evolves as the vector
-    chi(t) = W V† chi and takes the rank-one evaluator.
+    chi(t) = W V† chi and takes the rank-one evaluator, which forms
+    |chi(t)><chi(t)| only for ``regularize``.
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). With
@@ -202,7 +203,7 @@ def record_trajectory(
         phase = np.exp(-1j * spec.eigenvalues * t)
         if chi is not None:
             chi_t = v @ (phase * rho_h)
-            ev = _rank_one(chi_t, ds, np.outer(chi_t, chi_t.conj()))
+            ev = _rank_one(chi_t, ds)
         else:
             ev = _dense(_conjugate(v * phase, rho_h), ds)
         rate_ev = ev if regularize is None else _regularized(ev, regularize)

@@ -282,12 +282,24 @@ def _pure_vector(mat: np.ndarray) -> np.ndarray | None:
     return chi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _RankOne(_Eigenbasis):
     """A pure |chi><chi| (``mat``): norms, entropies and X come from M = chi.reshape(ds, de),
-    rho_S = M M†; the inherited dense members are built only when asked for."""
+    rho_S = M M†; the inherited dense members, and mat itself when not given, are
+    built only when asked for."""
 
     chi: np.ndarray
+
+    def __init__(self, lam, u, chi, mat=None):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "chi", chi)
+        if mat is not None:  # shadows the cached property below
+            object.__setattr__(self, "mat", mat)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return np.outer(self.chi, self.chi.conj())
 
     def commutator_trace_norm(self, f_lam: np.ndarray) -> float:
         return _rank_one_trace_norm(self.lam, f_lam)
@@ -319,8 +331,9 @@ class _RankOne(_Eigenbasis):
         return phi @ linalg.dagger(m)
 
 
-def _rank_one(chi: np.ndarray, ds: int, mat: np.ndarray) -> _RankOne:
-    """The evaluator of mat = |chi><chi| (chi a unit vector, system dimension ds).
+def _rank_one(chi: np.ndarray, ds: int, mat: np.ndarray | None = None) -> _RankOne:
+    """The evaluator of mat = |chi><chi| (chi a unit vector, system dimension ds),
+    formed from chi on first use when not given.
 
     lam is the squared singular values of M, zero-padded when ds > de: eigh(M M†)
     would leave a product state's zero weights at eps, read as sqrt(eps) by the norms.

@@ -174,11 +174,26 @@ def pure_state(chi, ds: int, de: int) -> BipartiteState:
     return BipartiteState(ds=ds, de=de, matrix=np.outer(vec, vec.conj()))
 
 
+def _composite(mat: np.ndarray) -> np.ndarray:
+    """A product or mixture of accepted factors, brought within one state's rules.
+
+    Each factor may miss Hermiticity, unit trace (or unit norm, or a unit
+    sum of probabilities) by its own tolerance, and the composite adds those
+    errors up. Its Hermitian part is mat itself when the factors are
+    Hermitian, and it is divided by its trace only when that is off by more
+    than DENSITY_TOL, so a composite that was accepted as it stood keeps its
+    entries.
+    """
+    mat = (mat + linalg.dagger(mat)) / 2
+    tr = mat.trace().real
+    return mat / tr if abs(tr - 1.0) > DENSITY_TOL else mat
+
+
 def product_state(rho_s, rho_e) -> BipartiteState:
     """rho_s (x) rho_e; the reduced states reproduce the factors."""
     s = validate_density_matrix(rho_s, name="system factor")
     e = validate_density_matrix(rho_e, name="environment factor")
-    return BipartiteState(ds=s.shape[0], de=e.shape[0], matrix=linalg.kron(s, e))
+    return BipartiteState(ds=s.shape[0], de=e.shape[0], matrix=_composite(linalg.kron(s, e)))
 
 
 def haar_random_pure(d: int, seed) -> np.ndarray:
@@ -276,7 +291,7 @@ def zero_discord_state(
     mat = np.zeros((ds * de, ds * de), dtype=complex)
     for pj, bj, ej in zip(p, vecs, envs):
         mat += pj * linalg.kron(np.outer(bj, bj.conj()), ej)
-    return BipartiteState(ds=ds, de=de, matrix=mat)
+    return BipartiteState(ds=ds, de=de, matrix=_composite(mat))
 
 
 def schmidt_decompose(chi, ds: int, de: int, cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:

@@ -118,11 +118,13 @@ def test_analyze_parse_failure_exit_2(tmp_path):
     assert proc.returncode == 2
     proc = run_cli("analyze", str(tmp_path / "missing.json"), check=False)
     assert proc.returncode == 2
-    # an integer entry too large for a float is a parse error, not a crash
-    bad.write_text('{"dims":[1,1],"kind":"density","data":[[' + "9" * 401 + ",0]]}")
-    proc = run_cli("analyze", str(bad), check=False)
-    assert proc.returncode == 2
-    assert b"Traceback" not in proc.stderr
+    # an integer entry too large for a float is a parse error, not a crash, and so is
+    # nesting too deep to decode
+    for text in ('{"dims":[1,1],"kind":"density","data":[[' + "9" * 401 + ",0]]}", "[" * 200000):
+        bad.write_text(text)
+        proc = run_cli("analyze", str(bad), check=False)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
 
 
 def test_analyze_rank_deficiency_exit_3(tmp_path):

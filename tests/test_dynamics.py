@@ -24,6 +24,7 @@ from lazylab import (
     record_trajectory,
     von_neumann_entropy,
 )
+from lazylab import dynamics
 from lazylab.laziness import default_lazy_tolerance
 from lazylab.linalg import DENSITY_TOL
 
@@ -437,3 +438,23 @@ def test_trajectory_factorizations_per_step(monkeypatch, make, per_step, regular
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     record_trajectory(rho0, h_tot, np.linspace(0.0, 0.4, steps), ns=(3,), regularize=regularize)
     assert len(calls) == per_step * steps + 1
+
+
+
+def test_pure_trajectory_forms_the_dense_state_only_to_regularize(monkeypatch):
+    # the rank-one rates read chi(t) alone; only the regularized state is built
+    # from |chi(t)><chi(t)|
+    made = []
+    rank_one = dynamics._rank_one
+
+    def keeping(*args):
+        made.append(rank_one(*args))
+        return made[-1]
+
+    monkeypatch.setattr(dynamics, "_rank_one", keeping)
+    rho0 = random_pure_bipartite(3, 3, 41)
+    h_tot = random_hermitian(9, 42)
+    for regularize in (None, 1e-3):
+        made.clear()
+        record_trajectory(rho0, h_tot, np.linspace(0.0, 0.5, 4), regularize=regularize)
+        assert [("mat" in vars(ev)) for ev in made] == [regularize is not None] * 4

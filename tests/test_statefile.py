@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from lazylab import StateFileError, ginibre_mixed, maximally_entangled, random_hermitian
@@ -135,3 +140,104 @@ def test_round_trip_preserves_exact_floats(tmp_path):
     back = statefile.loads(text)
     assert back.data.tobytes() == rho.tobytes()  # repr round-trip is exact
     assert statefile.dumps(back) == text
+
+
+def test_loads_refuses_nesting_too_deep_to_decode():
+    # json's decoder and repr give up at the recursion limit; neither may escape as RecursionError
+    with pytest.raises(StateFileError, match="not valid JSON"):
+        statefile.loads("[" * 200000)
+    deep = "[" * 1000 + "]" * 1000  # within orjson's 1024 levels, beyond the repr limit
+    with pytest.raises(StateFileError, match="not valid JSON"):
+        statefile.loads('{"dims":' + deep + ',"kind":"density","data":[[1,0]]}')
+
+
+@pytest.mark.parametrize("big", [2**64, -(2**63) - 1])
+def test_loads_dims_beyond_64_bit_integers(big):
+    """orjson reads an integer outside [-2^63, 2^64) as a float, so such a dims
+    entry is refused as not an integer, where json's int met the entry count."""
+    text = '{"dims":[1,%d],"kind":"purevector","data":[[1,0]]}' % big
+    with pytest.raises(StateFileError, match=r"dims must be two positive integers, got \[1, "):
+        statefile.loads(text)
+    with pytest.raises(StateFileError, match="entries" if big > 0 else r"got \[1, -"):
+        _json_reference(text)
+
+
+def _json_reference(text: str) -> statefile.StateFile:
+    """statefile.loads as it reads when json.loads alone parses: the same checks after it."""
+    try:
+        payload = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise StateFileError(f"not valid JSON: {exc}") from exc
+    return statefile._from_payload(payload)
+
+
+def _float_token(bits: int) -> str:
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    if x != x:
+        return "NaN"
+    return {float("inf"): "Infinity", float("-inf"): "-Infinity"}.get(x, repr(x))
+
+
+_DIGITS = hst.integers(10**16, 10**25 - 1).map(str)  # 17-25 digits, no leading zero
+_FINITE = hst.one_of(
+    hst.integers(0, 2**64 - 1).map(_float_token),  # every bit pattern: subnormals, -0.0, NaN, inf
+    hst.integers(-(2**70), 2**70).map(str),  # on both sides of orjson's 64-bit integers
+    hst.sampled_from(["1E+2", "1e-5", "-0", "-0.0", "1e-400", "2.4703282292062328e-324"]),
+    hst.tuples(hst.sampled_from(["", "-"]), _DIGITS, hst.integers(-340, 320)).map(
+        lambda t: f"{t[0]}{t[1][0]}.{t[1][1:]}e{t[2]}"  # not the shortest form
+    ),
+    hst.tuples(_DIGITS, hst.integers(1, 16)).map(lambda t: t[0][: t[1]] + "." + t[0][t[1]:]),
+)
+# json reads these as NaN, inf or an int no float holds; orjson refuses them
+_UNREADABLE = hst.sampled_from(["NaN", "Infinity", "-Infinity", "9" * 401, "-" + "9" * 309, "1E400"])
+_SPACE = hst.text(" \t\n\r", max_size=2)
+
+
+@hst.composite
+def _state_texts(draw):
+    """A state file's text: dims, kind and entry count mostly right, numbers in
+    every JSON spelling, in one file in four also the ones only json reads,
+    whitespace between tokens, and in one file in four one character deleted,
+    replaced or inserted."""
+    ds, de = draw(hst.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3)]))
+    rare = lambda: draw(hst.integers(0, 3)) == 3  # noqa: E731
+    # below 2^60 in size, so that one inserted digit stays within orjson's integers
+    dims = [draw(hst.integers(-(2**59), 2**60)) for _ in "sd"] if rare() else [ds, de]
+    kind = draw(hst.sampled_from(["wavefn", "hermitian"])) if rare() else "density"
+    if kind == "density" and rare():
+        kind = "purevector"
+    n = (ds * de) ** (1 if kind == "purevector" else 2) + rare()
+    number = hst.one_of(_FINITE, _UNREADABLE) if rare() else _FINITE
+    sp = lambda: draw(_SPACE)  # noqa: E731
+    pairs = [f"[{sp()}{draw(number)}{sp()},{sp()}{draw(number)}{sp()}]" for _ in range(n)]
+    text = (
+        f'{sp()}{{{sp()}"dims"{sp()}:{sp()}[{dims[0]},{sp()}{dims[1]}],{sp()}"kind":{sp()}"{kind}",'
+        f'{sp()}"data"{sp()}:{sp()}[{f",{sp()}".join(pairs)}]{sp()}}}{sp()}'
+    )
+    if rare():
+        edit = draw(hst.sampled_from(["delete", "replace", "insert"]))
+        i = draw(hst.integers(0, len(text) - 1))
+        c = draw(hst.sampled_from(list('[]{},:"-.eE+019 ') + ["\ud800", "\x00", "\ufeff"]))
+        text = text[:i] + ("" if edit == "delete" else c) + text[i + (edit != "insert"):]
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(_state_texts())
+@example("[" * 200000)
+@example('{"dims":[1,1],"kind":"density","data":[[1,0]]}\x0c')
+@example('{"dims":[1,1],"kind":"\\ud800","data":[[1,0]]}')
+def test_loads_matches_json_reference(text):
+    """statefile.loads and the json-only reference accept the same texts with the
+    same data bit for bit, and refuse the rest with the same message."""
+    try:
+        want = _json_reference(text)
+    except StateFileError as exc:
+        with pytest.raises(StateFileError) as got:
+            statefile.loads(text)
+        assert str(got.value) == str(exc)
+        return
+    got = statefile.loads(text)
+    assert (got.ds, got.de, got.kind) == (want.ds, want.de, want.kind)
+    assert got.data.shape == want.data.shape and got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()

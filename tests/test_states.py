@@ -45,6 +45,21 @@ def test_product_state_reduces_to_factors():
     assert_allclose(out.rho_e, e, atol=1e-12)
 
 
+def test_products_and_mixtures_of_accepted_factors_are_accepted():
+    # each factor misses unit trace or Hermiticity by just under its tolerance;
+    # a product or mixture adds the errors up, beyond what one state may carry
+    off_trace = np.diag([1 + 0.9e-10, 0.0]).astype(complex)
+    off_hermitian = np.array([[1, 1.4e-10], [0, 0]], dtype=complex)
+    for s in (off_trace, off_hermitian):
+        validate_density_matrix(s)
+        out = product_state(s, s)
+        assert abs(np.trace(out.matrix) - 1) <= 1e-15
+        assert_allclose(out.rho_s, s, atol=1e-9)
+    p = 0.5 + 0.45e-10  # the probabilities sum to 1 + 0.9e-10
+    out = zero_discord_state([p, p], [np.eye(2)[0], np.eye(2)[1]], [off_trace, off_hermitian])
+    assert abs(np.trace(out.matrix) - 1) <= 1e-15
+
+
 def test_haar_random_pure_edge_and_determinism():
     v = haar_random_pure(1, 5)
     assert abs(abs(v[0]) - 1.0) < 1e-12
