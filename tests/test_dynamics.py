@@ -7,6 +7,7 @@ from lazylab import (
     RankDeficientStateError,
     decompose_hamiltonian,
     derive_rng,
+    dynamics,
     entropy_rate,
     evolve_exact,
     finite_difference_rate,
@@ -24,7 +25,6 @@ from lazylab import (
     record_trajectory,
     von_neumann_entropy,
 )
-from lazylab import dynamics
 from lazylab.laziness import default_lazy_tolerance
 from lazylab.linalg import DENSITY_TOL
 
@@ -438,7 +438,6 @@ def test_trajectory_factorizations_per_step(monkeypatch, make, per_step, regular
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     record_trajectory(rho0, h_tot, np.linspace(0.0, 0.4, steps), ns=(3,), regularize=regularize)
     assert len(calls) == per_step * steps + 1
-
 
 
 def test_pure_trajectory_forms_the_dense_state_only_to_regularize(monkeypatch):

@@ -179,7 +179,7 @@ def _float_token(bits: int) -> str:
 
 
 _DIGITS = hst.integers(10**16, 10**25 - 1).map(str)  # 17-25 digits, no leading zero
-_FINITE = hst.one_of(
+_NUMBERS = hst.one_of(
     hst.integers(0, 2**64 - 1).map(_float_token),  # every bit pattern: subnormals, -0.0, NaN, inf
     hst.integers(-(2**70), 2**70).map(str),  # on both sides of orjson's 64-bit integers
     hst.sampled_from(["1E+2", "1e-5", "-0", "-0.0", "1e-400", "2.4703282292062328e-324"]),
@@ -189,15 +189,15 @@ _FINITE = hst.one_of(
     hst.tuples(_DIGITS, hst.integers(1, 16)).map(lambda t: t[0][: t[1]] + "." + t[0][t[1]:]),
 )
 # json reads these as NaN, inf or an int no float holds; orjson refuses them
-_UNREADABLE = hst.sampled_from(["NaN", "Infinity", "-Infinity", "9" * 401, "-" + "9" * 309, "1E400"])
+_JSON_ONLY = hst.sampled_from(["NaN", "Infinity", "-Infinity", "9" * 401, "-" + "9" * 309, "1E400"])
 _SPACE = hst.text(" \t\n\r", max_size=2)
 
 
 @hst.composite
 def _state_texts(draw):
     """A state file's text: dims, kind and entry count mostly right, numbers in
-    every JSON spelling, in one file in four also the ones only json reads,
-    whitespace between tokens, and in one file in four one character deleted,
+    every JSON spelling, in some files also the ones only json reads,
+    whitespace between tokens, and in some files one character deleted,
     replaced or inserted."""
     ds, de = draw(hst.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3)]))
     rare = lambda: draw(hst.integers(0, 3)) == 3  # noqa: E731
@@ -207,7 +207,7 @@ def _state_texts(draw):
     if kind == "density" and rare():
         kind = "purevector"
     n = (ds * de) ** (1 if kind == "purevector" else 2) + rare()
-    number = hst.one_of(_FINITE, _UNREADABLE) if rare() else _FINITE
+    number = hst.one_of(_NUMBERS, _JSON_ONLY) if rare() else _NUMBERS
     sp = lambda: draw(_SPACE)  # noqa: E731
     pairs = [f"[{sp()}{draw(number)}{sp()},{sp()}{draw(number)}{sp()}]" for _ in range(n)]
     text = (
