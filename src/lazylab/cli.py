@@ -21,6 +21,8 @@ from .dynamics import TrajectoryRecord, decompose_hamiltonian, record_trajectory
 from .laziness import (
     RankDeficientStateError,
     _commutator_norms,
+    _moment_order,
+    _require_weight,
     correlation_measures,
     rate_bounds,
 )
@@ -83,7 +85,7 @@ def _parse_probs(text: str) -> list[float]:
 
 
 def _parse_moments(text: str | None) -> tuple[int, ...]:
-    return tuple(int(n) for n in text.split(",")) if text else ()
+    return tuple(_moment_order(int(n)) for n in text.split(",")) if text else ()
 
 
 def cmd_gen(args) -> int:
@@ -131,6 +133,10 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def cmd_analyze(args) -> int:
+    # the rate flags are checked also when no Hamiltonian puts them to use
+    ns = _parse_moments(args.moments)
+    if args.regularize is not None:
+        _require_weight(args.regularize)
     state = statefile.load_state(args.state)
     # every field below reads the state's one evaluator; the dense commutator is not printed
     payload = {
@@ -141,7 +147,6 @@ def cmd_analyze(args) -> int:
     if args.hamiltonian is not None:
         h_tot = statefile.load_hamiltonian(args.hamiltonian)
         triple = decompose_hamiltonian(h_tot, state.ds, state.de)
-        ns = _parse_moments(args.moments)
         report = rate_bounds(state, triple.h_int, ns=ns, regularize=args.regularize)
         payload["rates"] = dataclasses.asdict(report)
         # string keys so that json and _flatten both order "10" before "3"

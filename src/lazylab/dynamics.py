@@ -14,11 +14,11 @@ import numpy as np
 from . import linalg
 from .laziness import (
     RankDeficientStateError,
-    _dense,
+    _eigenbasis,
+    _evaluator,
     _operator_norm_hermitian,
     _power_sums,
-    _pure_vector,
-    _rank_one,
+    _RankOne,
     _rate_report,
     _regularized,
     _spectral_entropy,
@@ -127,8 +127,7 @@ def finite_difference_rate(
     extrapolated (4 f(h/2) - f(h)) / 3 estimate, removing the leading
     truncation term.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step must be finite and positive, got {h}")
+    linalg._require_step(h, "step")
     if observable not in ("entropy", "moment"):
         raise ValueError(f"observable must be 'entropy' or 'moment', got {observable!r}")
     if richardson:
@@ -173,9 +172,9 @@ def record_trajectory(
     H_tot = V diag(E) V† and rho_h = V† rho0 V formed once, each sample
     is rho(t) = W rho_h W† for W = V diag(exp(-i E t)); one factorization
     of its rho_S yields the reduced observables, the commutator norms and
-    every rate. A pure rho0 = |chi><chi| (to within dim * eps) evolves as the vector
-    chi(t) = W V† chi and takes the rank-one evaluator, which forms
-    |chi(t)><chi(t)| only for ``regularize``.
+    every rate. Each step's evaluator comes from laziness._eigenbasis. When rho0's
+    own evaluator is rank-one, rho0 = |chi><chi| evolves as the vector
+    chi(t) = W V† chi, whose evaluator forms |chi(t)><chi(t)| only for ``regularize``.
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). With
@@ -195,17 +194,14 @@ def record_trajectory(
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
     h_norm = _operator_norm_hermitian(triple.h_int)
     v, vd = spec.eigenvectors, linalg.dagger(spec.eigenvectors)
-    chi = _pure_vector(rho0.matrix)
-    rho_h = vd @ chi if chi is not None else vd @ rho0.matrix @ v  # V† chi when pure
+    ev0 = _evaluator(rho0)
+    pure = isinstance(ev0, _RankOne)
+    rho_h = vd @ ev0.chi if pure else vd @ rho0.matrix @ v  # V† chi when pure
 
     records = []
     for t in ts:
         phase = np.exp(-1j * spec.eigenvalues * t)
-        if chi is not None:
-            chi_t = v @ (phase * rho_h)
-            ev = _rank_one(chi_t, ds)
-        else:
-            ev = _dense(_conjugate(v * phase, rho_h), ds)
+        ev = _eigenbasis(v @ (phase * rho_h) if pure else _conjugate(v * phase, rho_h), ds)
         rate_ev = ev if regularize is None else _regularized(ev, regularize)
         report = _rate_report(rate_ev, triple.h_int, h_norm, ())
         records.append(

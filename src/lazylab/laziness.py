@@ -344,11 +344,14 @@ def _rank_one(chi: np.ndarray, ds: int, mat: np.ndarray | None = None) -> _RankO
     return _RankOne(lam=lam, u=u[:, ::-1], mat=mat, chi=chi)
 
 
-def _eigenbasis(mat: np.ndarray, ds: int) -> _Eigenbasis:
-    """The evaluator of the validated state(s) ``mat`` with system dimension ds:
-    rank-one for one matrix pure within dim * eps, dense for a mixed state or a stack."""
-    chi = _pure_vector(mat) if mat.ndim == 2 else None
-    return _dense(mat, ds) if chi is None else _rank_one(chi, ds, mat)
+def _eigenbasis(state: np.ndarray, ds: int) -> _Eigenbasis:
+    """The evaluator of the validated state(s) with system dimension ds: rank-one for a
+    unit state vector chi (|chi><chi| is then formed only on demand) or for one matrix
+    pure within dim * eps; dense for a mixed matrix or a stack of matrices."""
+    if state.ndim == 1:
+        return _rank_one(state, ds)
+    chi = _pure_vector(state) if state.ndim == 2 else None
+    return _dense(state, ds) if chi is None else _rank_one(chi, ds, state)
 
 
 def _dense(mat: np.ndarray, ds: int) -> _Eigenbasis:
@@ -378,10 +381,15 @@ class _Regularized(_Eigenbasis):
         return (1.0 - self.d) * self.base.flow(h)
 
 
-def _regularized(ev: _Eigenbasis, d: float) -> _Regularized:
-    """The evaluator of (1-d) rho_SE + d I/dim, derived from rho_SE's evaluator ev."""
+def _require_weight(d) -> None:
+    """Refuse a regularization weight d outside (0, 1)."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"regularization weight must be in (0, 1), got {d}")
+
+
+def _regularized(ev: _Eigenbasis, d: float) -> _Regularized:
+    """The evaluator of (1-d) rho_SE + d I/dim, derived from rho_SE's evaluator ev."""
+    _require_weight(d)
     ds, dim = ev.lam.shape[-1], ev.mat.shape[-1]
     mat = (1.0 - d) * ev.mat + d * np.eye(dim) / dim
     return _Regularized(lam=(1.0 - d) * ev.lam + d / ds, u=ev.u, mat=mat, base=ev, d=d)

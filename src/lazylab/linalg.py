@@ -36,6 +36,12 @@ def _require_tolerance(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _require_step(value, name: str) -> None:
+    """Refuse a finite-difference step ``name`` that is not finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _complex_stack(m) -> np.ndarray:
     """Coerce to a complex array of one or more stacked matrices, rejecting non-finite entries."""
     arr = np.asarray(m, dtype=complex)

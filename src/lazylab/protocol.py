@@ -138,9 +138,11 @@ def detect_discord(
     not classically correlated: discord is detected from the reduced
     dynamics alone. ``use_fd`` replaces the exact rate with a central
     finite difference of the purity, mimicking an experiment that can
-    only measure purity at nearby times.
+    only measure purity at nearby times. ``fd_step`` is checked whether or
+    not ``use_fd`` is set.
     """
     linalg._require_tolerance(threshold, "threshold")
+    linalg._require_step(fd_step, "fd_step")
     rates = []
     for trials in _trial_chunks(samples, rho.dim):
         with _naming_trials(trials):
@@ -175,8 +177,10 @@ def sparsity_scan(
     checking that genuinely lazy inputs are counted). The count with
     ||C||_1 <= lazy_tol, by default the lazy tolerance of laziness_commutator,
     is the headline number; lazy states occupy measure zero under this
-    sampling, so the expected count is zero.
+    sampling, so the expected count is zero. ``bins`` must be >= 1.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     if include is not None and (include.ds, include.de) != (ds, de):
         raise ValueError(
             f"included state has dims ({include.ds}, {include.de}), "
@@ -221,6 +225,10 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     almost surely), so the pure-only mutual-information bound is
     exercised. For ds > de a pure state's rho_S is structurally rank
     deficient, so only mixed states are sampled.
+
+    Each chunk of trials is read from one evaluator. The couplings have
+    ||H_int|| = 1 by construction, and a pure row's I(S:E) is 2 S(rho_S),
+    read from that evaluator's spectrum.
     """
     dim = ds * de
     rows = []
@@ -237,14 +245,10 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
         with _naming_trials(trials):
             hs = _check_h_int(_unit_couplings(dim, ds, de, rngs), ds, de)
             mats = validate_density_matrix(np.stack(mats), name="bipartite state")
-            h_norm = _operator_norm_hermitian(hs)
-            report = _rate_report(_eigenbasis(mats, ds), hs, h_norm, ())
+            ev = _eigenbasis(mats, ds)
+            report = _rate_report(ev, hs, 1.0, ())
         pure = _is_pure(mats)
-        mi_bound = np.full(len(trials), np.nan)
-        if pure.any():
-            with _naming_trials(np.asarray(trials)[pure]):
-                mi = _eigenbasis(mats[pure], ds).mutual_information
-                mi_bound[pure] = _mi_purity_bound(mi, h_norm[pure])
+        mi_bound = _mi_purity_bound(2.0 * ev.system_entropy, 1.0)
         er, eb = report.entropy_rate, report.entropy_bound
         pr, pb = report.purity_rate, report.purity_bound
         columns = (

@@ -276,12 +276,7 @@ def zero_discord_state(
 
     vecs = [np.asarray(b, dtype=complex).reshape(-1) for b in basis]
     ds = vecs[0].size
-    for i, u in enumerate(vecs):
-        for j, v in enumerate(vecs):
-            overlap = np.vdot(u, v)
-            expected = 1.0 if i == j else 0.0
-            if abs(overlap - expected) > NORM_TOL:
-                raise ValueError(f"basis vectors {i}, {j} are not orthonormal")
+    _require_orthonormal(np.stack(vecs, axis=1), "basis")
 
     envs = [validate_density_matrix(e, name=f"env_states[{j}]") for j, e in enumerate(env_states)]
     de = envs[0].shape[0]
@@ -316,7 +311,8 @@ def purify(rho, ancilla_basis: np.ndarray | None = None) -> tuple[np.ndarray, in
 
     chi = sum_i sqrt(lam_i) v_i (x) a_i over the spectral pairs of rho,
     with the ancilla dimension equal to rank(rho). Tracing the ancilla
-    out of |chi><chi| recovers rho.
+    out of |chi><chi| recovers rho, so ``ancilla_basis`` (the a_i as
+    columns) must be unitary: overlaps within NORM_TOL of delta_ij.
     """
     mat = validate_density_matrix(rho)
     spec = linalg.hermitian_eig(mat, name="rho")
@@ -331,11 +327,18 @@ def purify(rho, ancilla_basis: np.ndarray | None = None) -> tuple[np.ndarray, in
         ancilla = linalg.as_complex_matrix(ancilla_basis)
         if ancilla.shape != (da, da):
             raise ValueError(f"ancilla basis must be {da} x {da}")
-    chi = np.zeros(d * da, dtype=complex)
-    for k in range(da):
-        chi += np.sqrt(lams[k]) * np.kron(vecs[:, k], ancilla[:, k])
+        _require_orthonormal(ancilla, "ancilla basis")
+    chi = ((vecs * np.sqrt(lams)) @ ancilla.T).reshape(-1)  # entry (i, a) at i * da + a
     chi /= np.linalg.norm(chi)
     return chi, d, da
+
+
+def _require_orthonormal(vecs: np.ndarray, name: str) -> None:
+    """Refuse the columns of vecs when an overlap <v_i|v_j> is off delta_ij by more than NORM_TOL."""
+    bad = np.argwhere(np.abs(linalg.dagger(vecs) @ vecs - np.eye(vecs.shape[1])) > NORM_TOL)
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{name} vectors {i}, {j} are not orthonormal")
 
 
 def _cluster_labels(w: np.ndarray, gap: float) -> np.ndarray:

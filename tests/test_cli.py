@@ -183,14 +183,33 @@ def test_analyze_tol_override():
         (["sparsity", "--ds", "2", "--de", "2", "--samples", "5", "--lazy-tol"], "lazy_tol"),
         (["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--threshold"], "threshold"),
         (["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--fd", "--fd-step"], "step"),
+        (["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--fd-step"], "step"),
     ],
-    ids=["tol", "lazy-tol", "threshold", "fd-step"],
+    ids=["tol", "lazy-tol", "threshold", "fd-step", "fd-step-without-fd"],
 )
 def test_tolerances_and_steps_must_be_finite_and_non_negative(args, name, value, capsys):
     assert main([*args, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--regularize", "-5", "regularization weight must be in (0, 1), got -5.0"),
+        ("--regularize", "1", "regularization weight must be in (0, 1), got 1.0"),
+        ("--moments", "0", "moment order must be an integer >= 1, got 0"),
+        ("--moments", "3,-2", "moment order must be an integer >= 1, got -2"),
+    ],
+    ids=["regularize-negative", "regularize-one", "moments-zero", "moments-negative"],
+)
+def test_analyze_checks_rate_flags_with_or_without_a_hamiltonian(flag, value, message, capsys):
+    for h in ([], [str(GOLDEN / "hamiltonian_2x2.json")]):
+        assert main(["analyze", str(GOLDEN / "bell.json"), *h, flag, value, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_a_zero_tolerance_is_valid(capsys):
@@ -393,6 +412,9 @@ def test_sweep_refuses_a_one_dimensional_factor():
 def test_main_returns_exit_codes(tmp_path, capsys):
     assert main(["gen", "bell", "--out", str(tmp_path / "b.json")]) == 0
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
+    for bins in ("-1", "0"):
+        assert main(["sparsity", "--ds", "2", "--de", "2", "--samples", "5", "--bins", bins]) == 2
+        assert f"bins must be >= 1, got {bins}" in capsys.readouterr().err
 
 
 def test_main_can_be_reused_in_process(tmp_path, capsys):

@@ -7,13 +7,13 @@ from lazylab import (
     RankDeficientStateError,
     decompose_hamiltonian,
     derive_rng,
-    dynamics,
     entropy_rate,
     evolve_exact,
     finite_difference_rate,
     ginibre_mixed,
     haar_random_pure,
     kron,
+    laziness,
     laziness_commutator,
     linalg,
     maximally_entangled,
@@ -442,17 +442,19 @@ def test_trajectory_factorizations_per_step(monkeypatch, make, per_step, regular
 
 def test_pure_trajectory_forms_the_dense_state_only_to_regularize(monkeypatch):
     # the rank-one rates read chi(t) alone; only the regularized state is built
-    # from |chi(t)><chi(t)|
+    # from |chi(t)><chi(t)|. rho0's own evaluator, which keeps rho0's matrix,
+    # is built before the steps' are counted
     made = []
-    rank_one = dynamics._rank_one
+    rank_one = laziness._rank_one
 
     def keeping(*args):
         made.append(rank_one(*args))
         return made[-1]
 
-    monkeypatch.setattr(dynamics, "_rank_one", keeping)
     rho0 = random_pure_bipartite(3, 3, 41)
     h_tot = random_hermitian(9, 42)
+    assert isinstance(laziness._evaluator(rho0), laziness._RankOne)
+    monkeypatch.setattr(laziness, "_rank_one", keeping)
     for regularize in (None, 1e-3):
         made.clear()
         record_trajectory(rho0, h_tot, np.linspace(0.0, 0.5, 4), regularize=regularize)

@@ -1,4 +1,7 @@
+import ast
+import tokenize
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from lazylab import (
     haar_random_pure,
     haar_random_unitary,
     kron,
+    laziness,
     laziness_commutator,
     linalg,
     maximally_entangled,
@@ -832,6 +836,27 @@ def test_regularized_evaluator_matches_the_formed_state(ds, de, kind, d):
     derived = _regularized(_eigenbasis(mat, ds), d)
     formed = _dense((1.0 - d) * mat + d * np.eye(dim) / dim, ds)
     _assert_reports_close(*(_rate_report(ev, hs, h_norms, (1, 3, 4)) for ev in (derived, formed)))
+
+
+def test_only_eigenbasis_picks_the_evaluator():
+    # one function chooses between the rank-one and the dense evaluator: the pure
+    # gate and both builders are named nowhere else in the package but on their
+    # own def lines
+    pickers = {"_pure_vector", "_rank_one", "_dense"}
+    src = Path(laziness.__file__).parent
+    tree = ast.parse((src / "laziness.py").read_text())
+    (chooser,) = [n for n in tree.body if getattr(n, "name", None) == "_eigenbasis"]
+    inside = range(chooser.lineno, chooser.end_lineno + 1)
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        with tokenize.open(path) as fh:
+            prev = None
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NAME and tok.string in pickers and prev != "def":
+                    if not (path.name == "laziness.py" and tok.start[0] in inside):
+                        stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+                prev = tok.string
+    assert stray == []
 
 
 @pytest.mark.parametrize("dim", [4, 16, 64])

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,9 @@ def test_sparsity_scan_and_bound_sweep_validate_samples():
         sparsity_scan(2, 2, samples=0, rank=4, seed=1)
     with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
         bound_sweep(2, 2, samples=0, seed=1)
+    for bins in (-1, 0):
+        with pytest.raises(ValueError, match=f"bins must be >= 1, got {bins}"):
+            sparsity_scan(2, 2, samples=5, rank=4, seed=1, bins=bins)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -95,6 +99,8 @@ def test_protocol_tolerances_must_be_finite_and_non_negative(bad):
         detect_discord(maximally_entangled(2), samples=2, seed=1, threshold=bad)
     with pytest.raises(ValueError, match="step must be finite and positive"):
         detect_discord(maximally_entangled(2), samples=2, seed=1, use_fd=True, fd_step=bad)
+    with pytest.raises(ValueError, match="^fd_step must be finite and positive"):
+        detect_discord(maximally_entangled(2), samples=2, seed=1, fd_step=bad)
 
 
 @pytest.mark.parametrize("ds, de", [(1, 4), (4, 1)])
@@ -150,6 +156,28 @@ def test_bound_sweep_no_negative_slack():
             assert row.mi_purity_bound is None
     assert any(row.pure for row in rows)
     assert any(not row.pure for row in rows)
+
+
+def test_bound_sweep_reads_each_chunk_from_one_evaluator(monkeypatch):
+    # a chunk of 16 trials at 8x8 costs one stacked eigh of rho_S and three stacked
+    # 64 x 64 eigvalsh: normalizing the couplings, ||C||_1 and ||K||_1. ||H_int|| = 1
+    # by that normalization, and the pure rows' I = 2 S(rho_S) reads the same rho_S
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls[name, np.shape(a)] += 1
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rows = bound_sweep(8, 8, 64, seed=1)
+    assert sum(row.pure for row in rows) == 32
+    assert calls == {("eigvalsh", (16, 64, 64)): 12, ("eigh", (16, 8, 8)): 4}
 
 
 # ------------------------------------------------ stacked against per-sample

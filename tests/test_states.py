@@ -244,6 +244,9 @@ def test_purify_with_custom_ancilla_basis():
     assert np.linalg.norm(back - rho) < 1e-10
     with pytest.raises(ValueError, match="ancilla"):
         purify(rho, ancilla_basis=np.eye(2))
+    # a square but not unitary basis would break tr_A |chi><chi| = rho
+    with pytest.raises(ValueError, match="^ancilla basis vectors 0, 1 are not orthonormal"):
+        purify(rho, ancilla_basis=[[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_spectral_projection_fully_degenerate():
