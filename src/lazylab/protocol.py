@@ -248,6 +248,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
             ev = _eigenbasis(mats, ds)
             report = _rate_report(ev, hs, 1.0, ())
         pure = _is_pure(mats)
+        # kept on the pure rows only, where I(S:E) = 2 S(rho_S)
         mi_bound = _mi_purity_bound(2.0 * ev.system_entropy, 1.0)
         er, eb = report.entropy_rate, report.entropy_bound
         pr, pb = report.purity_rate, report.purity_bound

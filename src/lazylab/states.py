@@ -334,7 +334,7 @@ def purify(rho, ancilla_basis: np.ndarray | None = None) -> tuple[np.ndarray, in
 
 
 def _require_orthonormal(vecs: np.ndarray, name: str) -> None:
-    """Refuse the columns of vecs when an overlap <v_i|v_j> is off delta_ij by more than NORM_TOL."""
+    """Refuse the columns of vecs when an overlap <v_i|v_j> is off delta_ij by > NORM_TOL."""
     bad = np.argwhere(np.abs(linalg.dagger(vecs) @ vecs - np.eye(vecs.shape[1])) > NORM_TOL)
     if bad.size:
         i, j = bad[0]
