@@ -17,8 +17,18 @@ out-of-range entries. Two differences remain. orjson reads an integer
 outside [-2^63, 2^64) as a float, so such a dims entry is refused as
 not an integer. Nesting deeper than json's recursion limit (about 1000
 levels, less the caller's stack depth) but within orjson's 1024 is
-decoded where json gave up. Writing stays on json.dumps, whose float
-and exponent spelling the canonical form fixes.
+decoded where json gave up.
+
+Writing goes through orjson too, byte for byte as json.dumps over the
+same floats wrote it. Both write each float's shortest round-trip
+digits, and they spell them alike for 0 and every |x| in [1e-4, 1e16).
+Outside that range orjson writes 1e16, 1e-7 and 0.00003 where repr
+writes 1e+16, 1e-07 and 3e-05. dumps therefore hands orjson every
+value outside the range as NaN, which orjson writes as null, splits
+the text on null and fills the gaps in order with repr of those
+values. null occurs nowhere else, because dumps first refuses, with
+the messages loads gives, what loads would refuse: the data are
+finite, and the keys, dims and kind hold no null.
 """
 
 from __future__ import annotations
@@ -33,6 +43,11 @@ from . import linalg
 from .states import BipartiteState, _unit_vector, pure_state
 
 KINDS = ("density", "purevector", "hermitian")
+
+# repr's format switch, not tolerances: repr writes a nonzero |x| below the
+# first or from the second in scientific notation, which orjson spells otherwise
+_REPR_FIXED_FROM = 0.0001
+_REPR_FIXED_BELOW = 10_000_000_000_000_000.0
 
 
 class StateFileError(ValueError):
@@ -86,14 +101,27 @@ def to_hamiltonian(sf: StateFile) -> np.ndarray:
 
 
 def dumps(sf: StateFile) -> str:
-    """Canonical JSON text for a state file (trailing newline included)."""
+    """Canonical JSON text for a state file (trailing newline included).
+
+    Raises StateFileError, as loads does, for a file loads would refuse.
+    """
+    import orjson
+
     flat = np.asarray(sf.data, dtype=complex).reshape(-1)
-    payload = {
-        "dims": [int(sf.ds), int(sf.de)],
-        "kind": sf.kind,
-        "data": np.column_stack((flat.real, flat.imag)).tolist(),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    _checked([sf.ds, sf.de], sf.kind, flat)
+    pairs = np.column_stack((flat.real, flat.imag))
+    mag = np.abs(pairs)
+    scientific = (mag < _REPR_FIXED_FROM) & (mag != 0) | (mag >= _REPR_FIXED_BELOW)
+    spelled = list(map(repr, pairs[scientific].tolist()))
+    pairs[scientific] = np.nan
+    payload = {"data": pairs, "dims": [sf.ds, sf.de], "kind": sf.kind}
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    parts = orjson.dumps(payload, option=option).decode().split("null")
+    parts[-1] += "\n"
+    out = [""] * (2 * len(parts) - 1)
+    out[::2] = parts
+    out[1::2] = spelled
+    return "".join(out)
 
 
 def loads(text: str) -> StateFile:
@@ -120,19 +148,6 @@ def _from_payload(payload) -> StateFile:
         if key not in payload:
             raise StateFileError(f"missing required key {key!r}")
 
-    dims = payload["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(type(d) is int and d >= 1 for d in dims)
-    ):
-        raise StateFileError(f"dims must be two positive integers, got {dims!r}")
-    ds, de = dims
-
-    kind = payload["kind"]
-    if kind not in KINDS:
-        raise StateFileError(f"kind must be one of {KINDS}, got {kind!r}")
-
     raw = payload["data"]
     if type(raw) is not list or not (
         set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
@@ -146,6 +161,22 @@ def _from_payload(payload) -> StateFile:
         flat = np.fromiter(chain.from_iterable(raw), float, 2 * len(raw)).view(complex)
     except OverflowError as exc:
         raise StateFileError(f"data entry out of floating-point range: {exc}") from exc
+    return _checked(payload["dims"], payload["kind"], flat)
+
+
+def _checked(dims, kind, flat: np.ndarray) -> StateFile:
+    """The state file of dims, kind and the flat complex entries, under the
+    rules every file read or written meets."""
+    if (
+        not isinstance(dims, list)
+        or len(dims) != 2
+        or not all(type(d) is int and d >= 1 for d in dims)
+    ):
+        raise StateFileError(f"dims must be two positive integers, got {dims!r}")
+    ds, de = dims
+
+    if kind not in KINDS:
+        raise StateFileError(f"kind must be one of {KINDS}, got {kind!r}")
 
     dim = ds * de
     if kind == "purevector":

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from lazylab import StateFileError, ginibre_mixed, maximally_entangled, random_hermitian
-from lazylab import statefile
+from lazylab import cli, statefile
 
 from .conftest import schmidt_pure_vector
 
@@ -171,8 +172,12 @@ def _json_reference(text: str) -> statefile.StateFile:
     return statefile._from_payload(payload)
 
 
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 def _float_token(bits: int) -> str:
-    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    x = _bits_to_float(bits)
     if x != x:
         return "NaN"
     return {float("inf"): "Infinity", float("-inf"): "-Infinity"}.get(x, repr(x))
@@ -241,3 +246,111 @@ def test_loads_matches_json_reference(text):
     assert (got.ds, got.de, got.kind) == (want.ds, want.de, want.kind)
     assert got.data.shape == want.data.shape and got.data.dtype == want.data.dtype
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def _json_dumps_reference(sf: statefile.StateFile) -> str:
+    """statefile.dumps as it wrote when json.dumps alone encoded the file."""
+    flat = np.asarray(sf.data, dtype=complex).reshape(-1)
+    payload = {
+        "dims": [int(sf.ds), int(sf.de)],
+        "kind": sf.kind,
+        "data": np.column_stack((flat.real, flat.imag)).tolist(),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _steps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+_MAGNITUDES = hst.one_of(
+    hst.integers(0, 2**64 - 1).map(_bits_to_float).filter(math.isfinite),  # every finite bit pattern
+    hst.tuples(hst.sampled_from([1e-5, 1e-4, 1e16]), hst.integers(-3, 3)).map(
+        lambda t: _steps_from(*t)  # repr's format switch and the 1e-5 exponent, on both sides
+    ),
+    hst.integers(1, 2**52 - 1).map(_bits_to_float),  # subnormals
+    hst.sampled_from([0.0, 5e-324, 2.0**53]),
+    hst.integers(2**53, 2**80).map(float),  # integer-valued, beyond exact integers
+    hst.floats(-30, 30).map(lambda e: 10.0**e),
+    hst.floats(1e-5, 1e-4),
+    # a non-zero integer part, then 0.0000 in the digits: 10.00001, 30.00005
+    hst.tuples(hst.integers(1, 10**6), hst.integers(1, 9999)).map(lambda t: float(f"{t[0]}.0000{t[1]}")),
+)
+_FLOATS = hst.tuples(_MAGNITUDES, hst.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@hst.composite
+def _state_files(draw):
+    """A file of any kind at 1x1, 1xn or 2x2 dims, its entries drawn from _FLOATS."""
+    ds, de = draw(hst.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]))
+    kind = draw(hst.sampled_from(statefile.KINDS))
+    dim = ds * de
+    shape = (dim,) if kind == "purevector" else (dim, dim)
+    parts = draw(hst.lists(_FLOATS, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    data = np.array(parts).view(complex).reshape(shape)
+    return statefile.StateFile(ds=ds, de=de, kind=kind, data=data)
+
+
+_EDGES = [
+    x
+    for base in (1e-5, 1e-4, 1e16)
+    for x in (math.nextafter(base, 0.0), base, math.nextafter(base, math.inf))
+] + [0.0, 5e-324, 2.0**53, 10.00001, 30.00005]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_state_files())
+@example(statefile.StateFile(1, 2 * len(_EDGES), "purevector", np.array(_EDGES + [-x for x in _EDGES]) + 0j))
+@example(statefile.StateFile(1, len(_EDGES), "purevector", np.array(_EDGES) * 1j))
+def test_dumps_matches_json_reference(sf):
+    """statefile.dumps writes the bytes json.dumps wrote, and loads reads them back bit for bit."""
+    text = statefile.dumps(sf)
+    assert text == _json_dumps_reference(sf)
+    assert statefile.loads(text).data.tobytes() == np.asarray(sf.data, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [("bell", 2)]
+    + [(k, d) for k in ("maxent", "product", "zerodiscord", "haarpure", "ginibre") for d in (2, 4, 8)],
+)
+def test_generated_states_match_json_reference(tmp_path, kind, d):
+    """Every gen kind at dxd (bell is 2x2 only) writes the bytes json.dumps wrote for the same floats."""
+    path = str(tmp_path / "state.json")
+    argv = {
+        "bell": ["gen", "bell"],
+        "maxent": ["gen", "maxent", "--d", str(d)],
+        "zerodiscord": ["gen", "zerodiscord", "--probs", ",".join(["%r" % (1 / d)] * d), "--de", str(d)],
+    }.get(kind, ["gen", kind, "--ds", str(d), "--de", str(d)])
+    assert cli.main(argv + ["--seed", "7", "--out", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == _json_dumps_reference(statefile.loads(text))
+
+
+def _refused_by_loads(sf: statefile.StateFile) -> str:
+    with pytest.raises(StateFileError) as exc:
+        statefile.loads(_json_dumps_reference(sf))
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "ds, de, kind, data, match",
+    [
+        (1, 2, "hermitian", [[math.nan, 0], [0, 1]], "non-finite"),
+        (1, 2, "density", [[1, 0], [0, complex(0, math.inf)]], "non-finite"),
+        (1, 1, "purevector", [-math.inf], "non-finite"),
+        (1, 1, "nullable", [[1]], "kind must be one of"),
+        (0, 2, "density", [[1]], "dims must be two positive integers"),
+        (2, -1, "density", [[1]], "dims must be two positive integers"),
+        (1, 2, "density", [1, 0, 0], "needs 4 entries"),
+        (1, 2, "purevector", np.eye(2), "needs 2 entries"),
+    ],
+)
+def test_dumps_refuses_what_loads_refuses(ds, de, kind, data, match):
+    sf = statefile.StateFile(ds=ds, de=de, kind=kind, data=np.array(data, dtype=complex))
+    with pytest.raises(StateFileError, match=match) as got:
+        statefile.dumps(sf)
+    assert str(got.value) == _refused_by_loads(sf)
