@@ -174,7 +174,7 @@ def record_trajectory(
     of its rho_S yields the reduced observables, the commutator norms and
     every rate. Each step's evaluator comes from laziness._eigenbasis. When rho0's
     own evaluator is rank-one, rho0 = |chi><chi| evolves as the vector
-    chi(t) = W V† chi, whose evaluator forms |chi(t)><chi(t)| only for ``regularize``.
+    chi(t) = W V† chi, whose evaluator never forms |chi(t)><chi(t)|, regularized or not.
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). With
@@ -202,8 +202,7 @@ def record_trajectory(
     for t in ts:
         phase = np.exp(-1j * spec.eigenvalues * t)
         ev = _eigenbasis(v @ (phase * rho_h) if pure else _conjugate(v * phase, rho_h), ds)
-        rate_ev = ev if regularize is None else _regularized(ev, regularize)
-        report = _rate_report(rate_ev, triple.h_int, h_norm, ())
+        report = _rate_report(_regularized(ev, regularize), triple.h_int, h_norm, ())
         records.append(
             TrajectoryRecord(
                 entropy=_spectral_entropy(ev.lam),

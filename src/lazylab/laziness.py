@@ -17,16 +17,18 @@ reduced flow d rho_S/dt = -i (X - X†), X = tr_E(H_int rho_SE).
 
 Every public function reads one evaluator per BipartiteState, built on
 first use and kept on the (frozen) state as its rho_s is, so one answer
-factorizes rho_S once. A pure state's evaluator works from its Schmidt
-weights: ||C||_F = ||C||_1 / sqrt(2), S(rho_E) = S(rho_S), S(rho_SE) = 0
-and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
-
-Regularizing, rho_r = (1-d) rho_SE + d I/dim, keeps the eigenvectors u:
-lam_r = (1-d) lam + d/ds and rho'_r = (1-d) rho' + d I/dim. The identity
-sits in the diagonal blocks, which every commutator weighs by 0, so
-C_r = (1-d)^2 C, K_r is (1-d) times rho' weighed by ln lam_r, and the
-flow is (1-d) times rho_SE's, since tr_E(h) d/dim is Hermitian. The
-regularized evaluator is derived from rho_SE's without a new eigensolve.
+factorizes rho_S once. Its three variants differ in where rho_SE (``mat``)
+comes from. _Dense holds the validated matrix. _RankOne holds a pure
+state's chi and forms |chi><chi| only when asked; its closed forms read
+the Schmidt weights: ||C||_F = ||C||_1 / sqrt(2), S(rho_E) = S(rho_S),
+S(rho_SE) = 0 and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
+_Regularized holds rho_SE's evaluator and a weight d, and forms
+rho_r = (1-d) rho_SE + d I/dim only when asked, with no eigensolve:
+rho_r keeps the eigenvectors u, lam_r = (1-d) lam + d/ds and
+rho'_r = (1-d) rho' + d I/dim. The identity sits in the diagonal blocks,
+which every commutator weighs by 0, so C_r = (1-d)^2 C, K_r is (1-d)
+times rho' weighed by ln lam_r, and the flow is (1-d) times rho_SE's,
+since tr_E(h) d/dim is Hermitian.
 
 The kernel also takes states stacked along leading axes (the Monte Carlo
 protocols evaluate their samples that way); every per-state check then
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -149,15 +152,12 @@ def _log_spectrum(lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Eigenbasis:
-    """rho_SE (``mat``) in the eigenbasis of rho_S = u diag(lam) u†, ``lam``
-    ascending: ``rho`` is the Hermitian rho' = (u (x) I)† rho_SE (u (x) I),
-    in which norms and traces of products are unchanged. Leading axes of
-    every field stack states.
-    """
+    """rho_SE (``mat``, from each variant) in the eigenbasis of rho_S = u diag(lam) u†,
+    ``lam`` ascending: ``rho`` is the Hermitian rho' = (u (x) I)† rho_SE (u (x) I), in
+    which norms and traces of products are unchanged. Leading axes stack states."""
 
     lam: np.ndarray
     u: np.ndarray
-    mat: np.ndarray
 
     @cached_property
     def ln_lam(self) -> np.ndarray:
@@ -192,16 +192,11 @@ class _Eigenbasis:
 
     @cached_property
     def comm_trace_norm(self):
-        return _trace_norm_hermitian(1j * self.comm)
+        return self.commutator_trace_norm(self.lam)
 
     @cached_property
     def comm_frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.comm))
-
-    @cached_property
-    def ln_comm(self) -> np.ndarray:
-        """K = [ln(rho_S) (x) I, rho_SE]; refused below the log floor."""
-        return self.commutator(self.ln_lam)
 
     @cached_property
     def ln_comm_trace_norm(self):
@@ -282,20 +277,19 @@ def _pure_vector(mat: np.ndarray) -> np.ndarray | None:
     return chi
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
+class _Dense(_Eigenbasis):
+    """The validated state(s) ``mat``, every member evaluated from it."""
+
+    mat: np.ndarray
+
+
+@dataclass(frozen=True)
 class _RankOne(_Eigenbasis):
-    """A pure |chi><chi| (``mat``): norms, entropies and X come from M = chi.reshape(ds, de),
-    rho_S = M M†; the inherited dense members, and mat itself when not given, are
-    built only when asked for."""
+    """A pure |chi><chi|: norms, entropies and X come from M = chi.reshape(ds, de),
+    rho_S = M M†; mat and the inherited dense members are built only when asked for."""
 
     chi: np.ndarray
-
-    def __init__(self, lam, u, chi, mat=None):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "chi", chi)
-        if mat is not None:  # shadows the cached property below
-            object.__setattr__(self, "mat", mat)
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -303,10 +297,6 @@ class _RankOne(_Eigenbasis):
 
     def commutator_trace_norm(self, f_lam: np.ndarray) -> float:
         return _rank_one_trace_norm(self.lam, f_lam)
-
-    @cached_property
-    def comm_trace_norm(self) -> float:
-        return self.commutator_trace_norm(self.lam)
 
     @cached_property
     def comm_frobenius_norm(self) -> float:
@@ -331,9 +321,8 @@ class _RankOne(_Eigenbasis):
         return phi @ linalg.dagger(m)
 
 
-def _rank_one(chi: np.ndarray, ds: int, mat: np.ndarray | None = None) -> _RankOne:
-    """The evaluator of mat = |chi><chi| (chi a unit vector, system dimension ds),
-    formed from chi on first use when not given.
+def _rank_one(chi: np.ndarray, ds: int) -> _RankOne:
+    """The evaluator of |chi><chi| (chi a unit vector, system dimension ds).
 
     lam is the squared singular values of M, zero-padded when ds > de: eigh(M M†)
     would leave a product state's zero weights at eps, read as sqrt(eps) by the norms.
@@ -341,34 +330,38 @@ def _rank_one(chi: np.ndarray, ds: int, mat: np.ndarray | None = None) -> _RankO
     m = chi.reshape(ds, -1)
     u, s, _ = np.linalg.svd(m, full_matrices=ds > m.shape[1])
     lam = np.concatenate([np.zeros(ds - s.size), s[::-1] ** 2])
-    return _RankOne(lam=lam, u=u[:, ::-1], mat=mat, chi=chi)
+    return _RankOne(lam=lam, u=u[:, ::-1], chi=chi)
 
 
 def _eigenbasis(state: np.ndarray, ds: int) -> _Eigenbasis:
     """The evaluator of the validated state(s) with system dimension ds: rank-one for a
-    unit state vector chi (|chi><chi| is then formed only on demand) or for one matrix
-    pure within dim * eps; dense for a mixed matrix or a stack of matrices."""
+    unit vector or one matrix pure within dim * eps, else dense (stacks included)."""
     if state.ndim == 1:
         return _rank_one(state, ds)
     chi = _pure_vector(state) if state.ndim == 2 else None
-    return _dense(state, ds) if chi is None else _rank_one(chi, ds, state)
+    return _dense(state, ds) if chi is None else _rank_one(chi, ds)
 
 
-def _dense(mat: np.ndarray, ds: int) -> _Eigenbasis:
+def _dense(mat: np.ndarray, ds: int) -> _Dense:
     """The dense evaluator of the state(s) ``mat``, through the eigh of rho_S."""
     spec = linalg.hermitian_eig(
         linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"), name="rho_S"
     )
-    return _Eigenbasis(lam=spec.eigenvalues, u=spec.eigenvectors, mat=mat)
+    return _Dense(lam=spec.eigenvalues, u=spec.eigenvectors, mat=mat)
 
 
 @dataclass(frozen=True)
 class _Regularized(_Eigenbasis):
-    """(1-d) rho_SE + d I/dim (``mat``) read from the evaluator ``base`` of rho_SE:
-    C, every commutator trace norm and the flow are base's, scaled."""
+    """(1-d) rho_SE + d I/dim read from the evaluator ``base`` of rho_SE: C, every
+    commutator trace norm and the flow are base's, scaled."""
 
     base: _Eigenbasis
     d: float
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        dim = self.base.mat.shape[-1]
+        return (1.0 - self.d) * self.base.mat + self.d * np.eye(dim) / dim
 
     def commutator_trace_norm(self, f_lam: np.ndarray):
         return (1.0 - self.d) * self.base.commutator_trace_norm(f_lam)
@@ -382,17 +375,17 @@ class _Regularized(_Eigenbasis):
 
 
 def _require_weight(d) -> None:
-    """Refuse a regularization weight d outside (0, 1)."""
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"regularization weight must be in (0, 1), got {d}")
+    """Refuse a regularization weight d that is not a real number in (0, 1)."""
+    if not (isinstance(d, Real) and 0.0 < d < 1.0):
+        raise ValueError(f"regularization weight must be in (0, 1), got {d!r}")
 
 
-def _regularized(ev: _Eigenbasis, d: float) -> _Regularized:
-    """The evaluator of (1-d) rho_SE + d I/dim, derived from rho_SE's evaluator ev."""
+def _regularized(ev: _Eigenbasis, d: float | None) -> _Eigenbasis:
+    """The evaluator of (1-d) rho_SE + d I/dim derived from rho_SE's ev; ev if d is None."""
+    if d is None:
+        return ev
     _require_weight(d)
-    ds, dim = ev.lam.shape[-1], ev.mat.shape[-1]
-    mat = (1.0 - d) * ev.mat + d * np.eye(dim) / dim
-    return _Regularized(lam=(1.0 - d) * ev.lam + d / ds, u=ev.u, mat=mat, base=ev, d=d)
+    return _Regularized(lam=(1.0 - d) * ev.lam + d / ev.lam.shape[-1], u=ev.u, base=ev, d=d)
 
 
 def _evaluator(rho: BipartiteState) -> _Eigenbasis:
@@ -500,16 +493,11 @@ def regularize_state(rho: BipartiteState, delta: float) -> BipartiteState:
 
     The result keeps the evaluator derived from rho's, so it is not factorized again.
     """
+    _require_weight(delta)
     ev = _regularized(_evaluator(rho), delta)
     st = BipartiteState(ds=rho.ds, de=rho.de, matrix=ev.mat)
     vars(st)["_evaluator"] = ev
     return st
-
-
-def _prepared(rho: BipartiteState, regularize: float | None) -> _Eigenbasis:
-    """rho's evaluator, or with ``regularize`` the regularized state's, derived from it."""
-    ev = _evaluator(rho)
-    return ev if regularize is None else _regularized(ev, regularize)
 
 
 def _require_real(value, *, what: str):
@@ -568,7 +556,7 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
     evaluated from the reduced flow as -sum_i ln(lam_i) f_i.
     """
     h = _check_h_int(h_int, rho.ds, rho.de)
-    ev = _prepared(rho, regularize)
+    ev = _regularized(_evaluator(rho), regularize)
     return _flow_rate(ev, ev.flow(h))
 
 
@@ -607,7 +595,7 @@ def rate_bounds(
     """
     h = _check_h_int(h_int, rho.ds, rho.de)
     h_norm = _operator_norm_hermitian(h)
-    ev = _prepared(rho, regularize)
+    ev = _regularized(_evaluator(rho), regularize)
     report = _rate_report(ev, h, h_norm, ns)
     if not _is_pure(ev.mat):
         return report
@@ -630,8 +618,8 @@ def witness_hamiltonian(
     interaction term without local components. With ``regularize`` the
     witness and prediction refer to the regularized state.
     """
-    basis = _prepared(rho, regularize)
-    k = basis.ln_comm
+    basis = _regularized(_evaluator(rho), regularize)
+    k = basis.commutator(basis.ln_lam)
     h_int = basis.unrotate(1j * k)
     h_int = (h_int + linalg.dagger(h_int)) / 2
     predicted = -float(np.linalg.norm(k) ** 2)

@@ -42,14 +42,19 @@ def _require_step(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """Return arr if every entry is finite, else raise naming ``what``."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    return arr
+
+
 def _complex_stack(m) -> np.ndarray:
     """Coerce to a complex array of one or more stacked matrices, rejecting non-finite entries."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim < 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return arr
+    return _require_finite(arr, "matrix")
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -13,11 +13,11 @@ escapes, nesting deeper than 1024 levels. Every text orjson refuses is
 therefore parsed again by json, which decides and words the refusal as
 it always did, so the schema checks see json's values (NaN, inf, an
 int too large for a float) and refuse them as non-finite or
-out-of-range entries. Two differences remain. orjson reads an integer
+out-of-range entries. One difference remains: orjson reads an integer
 outside [-2^63, 2^64) as a float, so such a dims entry is refused as
-not an integer. Nesting deeper than json's recursion limit (about 1000
-levels, less the caller's stack depth) but within orjson's 1024 is
-decoded where json gave up.
+not an integer. A state file has exactly the three keys and nests three
+levels deep, so text nested near json's recursion limit is refused by
+either reading.
 
 Writing goes through orjson too, byte for byte as json.dumps over the
 same floats wrote it. Both write each float's shortest round-trip
@@ -43,6 +43,7 @@ from . import linalg
 from .states import BipartiteState, _unit_vector, pure_state
 
 KINDS = ("density", "purevector", "hermitian")
+_KEYS = ("dims", "kind", "data")
 
 # repr's format switch, not tolerances: repr writes a nonzero |x| below the
 # first or from the second in scientific notation, which orjson spells otherwise
@@ -144,9 +145,12 @@ def loads(text: str) -> StateFile:
 def _from_payload(payload) -> StateFile:
     if not isinstance(payload, dict):
         raise StateFileError("top-level JSON value must be an object")
-    for key in ("dims", "kind", "data"):
+    for key in _KEYS:
         if key not in payload:
             raise StateFileError(f"missing required key {key!r}")
+    for key in payload:
+        if key not in _KEYS:
+            raise StateFileError(f"unexpected key {key!r}")
 
     raw = payload["data"]
     if type(raw) is not list or not (

@@ -158,10 +158,11 @@ class SpectralProjection:
 
 
 def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
-    """chi flattened, checked to have length ds*de and |<chi|chi> - 1| <= NORM_TOL."""
+    """chi flattened, checked finite, of length ds*de and with |<chi|chi> - 1| <= NORM_TOL."""
     vec = np.asarray(chi, dtype=complex).reshape(-1)
     if vec.size != ds * de:
         raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
+    linalg._require_finite(vec, "state vector")
     nrm2 = (vec * vec.conj()).sum().real  # summed as tr |v><v| is, so the density rule agrees
     if abs(nrm2 - 1.0) > NORM_TOL:
         raise ValueError(f"state vector has squared norm <v|v> = {nrm2:.12g}, expected 1")

@@ -1,6 +1,6 @@
 import ast
 import tokenize
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,12 @@ from lazylab import (
     maximally_entangled,
     moment_rate,
     moments,
+    negativity,
     pinching_residual,
     product_state,
     pure_state,
     pure_state_analytics,
+    purity_rate,
     random_hermitian,
     rate_bounds,
     regularize_state,
@@ -230,6 +232,9 @@ def test_pinch_dimension_mismatch():
     st = maximally_entangled(2)
     with pytest.raises(ValueError):
         spectral_pinch(st, spectral_projection(np.eye(3) / 3))
+    proj = spectral_projection(np.diag([0.7, 0.3]))
+    with pytest.raises(ValueError, match="do not resolve the identity"):
+        spectral_pinch(st, replace(proj, projectors=proj.projectors[:1]))
 
 
 def test_pinching_residual_lazy_cases():
@@ -344,6 +349,12 @@ def test_regularize_state_properties():
     assert np.linalg.eigvalsh(reg.rho_s)[0] > 1e-4
     with pytest.raises(ValueError):
         regularize_state(st, 0.0)
+    # not a real number in (0, 1): refused alike, neither a TypeError nor a copy of st
+    for bad in (None, np.nan):
+        with pytest.raises(ValueError, match="regularization weight must be in"):
+            regularize_state(st, bad)
+    with pytest.raises(ValueError, match="regularization weight must be in"):
+        rate_bounds(random_full_rank_state(2, 2, 5), random_interaction(2, 2, 6), regularize="0.1")
 
 
 def test_moment_rate_trace_preservation():
@@ -670,6 +681,8 @@ def test_eigenbasis_kernel_matches_literal_definitions(kind, ds, de, seed):
     }
     for n, expected in m_rates.items():
         _assert_close(moment_rate(st, h, n), expected)
+    _assert_close(purity_rate(st, h), m_rates[2])
+    assert negativity(st) == correlation_measures(st).negativity
 
     bounds = rate_bounds(st, h, ns=(3, 4))
     _assert_close(bounds.entropy_rate, s_rate)

@@ -122,6 +122,9 @@ def test_writers_apply_the_shared_input_rules():
         statefile.from_vector(np.ones(3) / np.sqrt(3), 2, 2)
     with pytest.raises(ValueError, match="norm"):
         statefile.from_vector(np.ones(4), 2, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="state vector contains NaN or Inf"):
+            statefile.from_vector([bad, 0.0, 0.0, 1.0], 2, 2)
     with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match dims \(2, 3\)"):
         statefile.from_hermitian(random_hermitian(4, 1), 2, 3)
 
@@ -150,6 +153,22 @@ def test_loads_refuses_nesting_too_deep_to_decode():
     deep = "[" * 1000 + "]" * 1000  # within orjson's 1024 levels, beyond the repr limit
     with pytest.raises(StateFileError, match="not valid JSON"):
         statefile.loads('{"dims":' + deep + ',"kind":"density","data":[[1,0]]}')
+
+
+def test_loads_refuses_keys_beyond_the_three(tmp_path, capsys):
+    # the deep extra key is decoded by orjson but not by json, so only the key
+    # rule makes both readings refuse the file
+    deep = "[" * 1000 + "]" * 1000
+    for extra in ('"note":"x"', '"note":' + deep):
+        text = '{"dims":[1,1],"kind":"density","data":[[1,0]],' + extra + "}"
+        with pytest.raises(StateFileError, match="unexpected key 'note'"):
+            statefile.loads(text)
+        with pytest.raises(StateFileError):
+            _json_reference(text)
+    path = tmp_path / "extra.json"
+    path.write_text('{"dims":[1,1],"kind":"density","data":[[1,0]],"note":"x"}')
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "unexpected key 'note'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("big", [2**64, -(2**63) - 1])

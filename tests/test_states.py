@@ -77,6 +77,8 @@ def test_haar_random_pure_first_moment():
 def test_haar_random_unitary_is_unitary():
     u = haar_random_unitary(5, 3)
     assert np.linalg.norm(u.conj().T @ u - np.eye(5)) < 1e-12
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        haar_random_unitary(0, 3)
 
 
 def test_ginibre_rank_one_is_pure():
@@ -102,6 +104,8 @@ def test_random_hermitian_is_hermitian_and_deterministic():
     h = random_hermitian(5, 33)
     assert np.linalg.norm(h - h.conj().T) < 1e-15
     assert_allclose(h, random_hermitian(5, 33))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        random_hermitian(0, 33)
 
 
 def test_random_hermitian_semicircle_radius():
@@ -159,6 +163,15 @@ def test_zero_discord_validation():
     skew = [np.eye(2)[:, 0], np.array([1.0, 1.0]) / np.sqrt(2)]
     with pytest.raises(ValueError, match="orthonormal"):
         zero_discord_state([0.5, 0.5], skew, envs)
+    refusals = [
+        ([[0.5, 0.5]], basis, envs, "non-empty 1-D"),
+        ([1.5, -0.5], basis, envs, "non-negative"),
+        ([1.0], basis, envs, "matching lengths"),
+        ([0.5, 0.5], basis, [envs[0], np.eye(3) / 3], "share one dimension"),
+    ]
+    for probs, b, e, match in refusals:
+        with pytest.raises(ValueError, match=match):
+            zero_discord_state(probs, b, e)
 
 
 def test_schmidt_product_and_bell():
@@ -202,6 +215,12 @@ def test_schmidt_orthonormal_vectors():
 def test_schmidt_rejects_non_unit_vector():
     with pytest.raises(ValueError, match="norm"):
         schmidt_decompose(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
+    # a non-finite entry is refused before the norm, whose comparison it would pass
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="state vector contains NaN or Inf"):
+            schmidt_decompose(np.array([bad, 0.0, 0.0, 1.0]), 2, 2)
+    with pytest.raises(ValueError, match="below the cutoff"):
+        schmidt_decompose(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2, cutoff=2.0)
 
 
 @pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (3, 5)])
@@ -397,6 +416,10 @@ def test_positivity_certificate_follows_the_eigenvalue_rule(d, margin):
 def test_bipartite_state_dim_mismatch():
     with pytest.raises(ValueError):
         BipartiteState(ds=2, de=3, matrix=np.eye(4) / 4)
+    with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
+        BipartiteState(ds=0, de=4, matrix=np.eye(4) / 4)
+    with pytest.raises(ValueError, match="must be one matrix"):
+        BipartiteState(ds=2, de=2, matrix=np.stack([np.eye(4) / 4] * 2))
 
 
 def test_derive_rng_streams_are_stable_and_distinct():
