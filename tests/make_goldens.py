@@ -4,10 +4,11 @@ Run from the repository root:
 
     python3 -m tests.make_goldens
 
-Inputs (state/Hamiltonian files) are produced first, then every golden
-output is captured from the CLI exactly as the tests invoke it. Outputs
-are deterministic given the fixed seeds, so regeneration is only needed
-when the file formats or report layouts change intentionally. For each
+The two library-written inputs are produced first, then every golden in
+``CLI_GOLDENS`` is captured from the CLI; the acceptance test C10 runs
+the same table. Outputs are deterministic given the fixed seeds, so
+regeneration is only needed when the file formats or report layouts
+change intentionally. For each
 file it rewrites, the script prints the largest absolute and relative
 change of any number against the file's previous bytes.
 """
@@ -83,19 +84,43 @@ def run_cli(*args: str) -> bytes:
     return proc.stdout
 
 
-def make_inputs() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+def _golden(name: str) -> str:
+    return str(GOLDEN / name)
 
-    write_golden("bell.json", run_cli("gen", "bell"))
-    write_golden(
-        "product.json",
-        run_cli("gen", "product", "--ds", "2", "--de", "2", "--seed", "11"),
-    )
-    write_golden(
-        "zerodiscord.json",
-        run_cli("gen", "zerodiscord", "--probs", "0.6,0.4", "--de", "2", "--seed", "5"),
-    )
-    write_golden("maxent3.json", run_cli("gen", "maxent", "--d", "3"))
+
+BELL, PRODUCT, ZERODISCORD, MAXENT3 = map(
+    _golden, ("bell.json", "product.json", "zerodiscord.json", "maxent3.json")
+)
+SCHMIDT, HAMILTONIAN = map(_golden, ("schmidt_08_02.json", "hamiltonian_2x2.json"))
+
+# (argv, golden): every golden the CLI writes, in an order that makes each
+# input before a later row reads it. SCHMIDT and HAMILTONIAN are written by
+# the library (make_library_inputs), not by the CLI.
+CLI_GOLDENS = (
+    (("gen", "bell"), "bell.json"),
+    (("gen", "product", "--ds", "2", "--de", "2", "--seed", "11"), "product.json"),
+    (("gen", "zerodiscord", "--probs", "0.6,0.4", "--de", "2", "--seed", "5"), "zerodiscord.json"),
+    (("gen", "maxent", "--d", "3"), "maxent3.json"),
+    (("analyze", BELL, "--json"), "analyze_bell.json"),
+    (("analyze", PRODUCT, HAMILTONIAN, "--json"), "analyze_product_h.json"),
+    (("analyze", SCHMIDT, HAMILTONIAN, "--json"), "analyze_schmidt_h.json"),
+    (("evolve", BELL, HAMILTONIAN, "--t-max", "1.0", "--steps", "5"), "evolve_bell.csv"),
+    (("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3", "--json"), "detect_schmidt.json"),
+    (("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3"), "detect_schmidt.txt"),
+    (
+        ("detect-discord", ZERODISCORD, "--samples", "20", "--seed", "3", "--json"),
+        "detect_zerodiscord.json",
+    ),
+    (("detect-discord", MAXENT3, "--samples", "20", "--seed", "3", "--json"), "detect_maxent.json"),
+    (
+        ("sparsity", "--ds", "2", "--de", "2", "--samples", "50", "--seed", "0", "--bins", "4"),
+        "sparsity_2x2.txt",
+    ),
+)
+
+
+def make_library_inputs() -> None:
+    GOLDEN.mkdir(exist_ok=True)
 
     chi = np.zeros(4, dtype=complex)
     chi[0] = np.sqrt(0.8)
@@ -106,38 +131,10 @@ def make_inputs() -> None:
     write_golden("hamiltonian_2x2.json", statefile.dumps(from_hermitian(h, 2, 2)).encode())
 
 
-def make_outputs() -> None:
-    bell = str(GOLDEN / "bell.json")
-    product = str(GOLDEN / "product.json")
-    schmidt = str(GOLDEN / "schmidt_08_02.json")
-    zerodiscord = str(GOLDEN / "zerodiscord.json")
-    maxent3 = str(GOLDEN / "maxent3.json")
-    ham = str(GOLDEN / "hamiltonian_2x2.json")
-
-    write_golden("analyze_bell.json", run_cli("analyze", bell, "--json"))
-    write_golden("analyze_product_h.json", run_cli("analyze", product, ham, "--json"))
-    write_golden("analyze_schmidt_h.json", run_cli("analyze", schmidt, ham, "--json"))
-    write_golden(
-        "evolve_bell.csv",
-        run_cli("evolve", bell, ham, "--t-max", "1.0", "--steps", "5"),
-    )
-    write_golden(
-        "detect_schmidt.json",
-        run_cli("detect-discord", schmidt, "--samples", "20", "--seed", "3", "--json"),
-    )
-    write_golden(
-        "detect_zerodiscord.json",
-        run_cli("detect-discord", zerodiscord, "--samples", "20", "--seed", "3", "--json"),
-    )
-    write_golden(
-        "detect_maxent.json",
-        run_cli("detect-discord", maxent3, "--samples", "20", "--seed", "3", "--json"),
-    )
-
-
 def main() -> None:
-    make_inputs()
-    make_outputs()
+    make_library_inputs()
+    for argv, golden in CLI_GOLDENS:
+        write_golden(golden, run_cli(*argv))
     print(f"golden files written to {GOLDEN}")
 
 

@@ -38,6 +38,7 @@ from lazylab import (
 )
 
 from .cli_runner import run_lazylab
+from .make_goldens import CLI_GOLDENS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -319,30 +320,9 @@ def test_c09_sparsity_monte_carlo():
 
 
 def test_c10_cli_contract_golden_files():
-    bell = str(GOLDEN / "bell.json")
-    product = str(GOLDEN / "product.json")
-    schmidt = str(GOLDEN / "schmidt_08_02.json")
-    zerodiscord = str(GOLDEN / "zerodiscord.json")
-    maxent3 = str(GOLDEN / "maxent3.json")
-    ham = str(GOLDEN / "hamiltonian_2x2.json")
-
-    cases = [
-        (("gen", "bell"), "bell.json"),
-        (("gen", "product", "--ds", "2", "--de", "2", "--seed", "11"), "product.json"),
-        (("analyze", bell, "--json"), "analyze_bell.json"),
-        (("analyze", product, ham, "--json"), "analyze_product_h.json"),
-        (("analyze", schmidt, ham, "--json"), "analyze_schmidt_h.json"),
-        (("evolve", bell, ham, "--t-max", "1.0", "--steps", "5"), "evolve_bell.csv"),
-        (("detect-discord", schmidt, "--samples", "20", "--seed", "3", "--json"),
-         "detect_schmidt.json"),
-        (("detect-discord", zerodiscord, "--samples", "20", "--seed", "3", "--json"),
-         "detect_zerodiscord.json"),
-        (("detect-discord", maxent3, "--samples", "20", "--seed", "3", "--json"),
-         "detect_maxent.json"),
-    ]
     stable = True
     byte_equal = True
-    for args, golden_name in cases:
+    for args, golden_name in CLI_GOLDENS:
         first = run_lazylab(*args)
         second = run_lazylab(*args)
         assert first.returncode == 0, f"{args}: {first.stderr.decode()}"

@@ -417,6 +417,38 @@ def test_main_returns_exit_codes(tmp_path, capsys):
         assert f"bins must be >= 1, got {bins}" in capsys.readouterr().err
 
 
+OUT_COMMANDS = {
+    "gen": ["gen", "zerodiscord", "--probs", "0.6,0.4", "--seed", "5"],
+    "analyze": ["analyze", str(GOLDEN / "product.json"), str(GOLDEN / "hamiltonian_2x2.json")],
+    "evolve": ["evolve", str(GOLDEN / "bell.json"), str(GOLDEN / "hamiltonian_2x2.json"),
+               "--t-max", "1.0", "--steps", "3"],
+    "detect-discord": ["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--samples", "4"],
+    "sparsity": ["sparsity", "--ds", "2", "--de", "2", "--samples", "20", "--bins", "3"],
+    "sweep": ["sweep", "--ds", "2", "--de", "2", "--samples", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_every_subcommand_writes_out_or_fails_cleanly(command, tmp_path, capsys):
+    argv = OUT_COMMANDS[command]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout
+
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+    # the command runs before the file is opened, so nothing is written anywhere
+    assert main([*argv, "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_main_can_be_reused_in_process(tmp_path, capsys):
     # one parser serves every call; nothing a call parses carries over to the next
     h = str(GOLDEN / "hamiltonian_2x2.json")
