@@ -1,9 +1,10 @@
 """Command-line front end: lazy-lab <gen|analyze|evolve|detect-discord|sparsity|sweep>.
 
 All subcommands are deterministic given their full flag set (including
---seed), write to stdout unless an output path is given, and use exit
-codes 0 (success), 2 (input/parse error) and 3 (numerical-domain error,
-i.e. rank deficiency without --regularize).
+--seed) and use exit codes 0 (success), 2 (input/parse error) and 3
+(numerical-domain error, i.e. rank deficiency without --regularize).
+Each handler returns its text and main writes it: to stdout, or to the
+file every subcommand's --out names, only once the command has succeeded.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from .laziness import (
     rate_bounds,
 )
 from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
-from .protocol import (
-    SweepRow,
-    bound_sweep,
-    detect_discord,
-    sparsity_scan,
-)
+from .protocol import SweepRow, bound_sweep, detect_discord, sparsity_scan
 from .states import (
     BipartiteState,
     derive_rng,
@@ -42,7 +38,6 @@ from .states import (
     product_state,
     zero_discord_state,
 )
-from .statefile import StateFileError
 
 GEN_KINDS = ("product", "bell", "maxent", "zerodiscord", "haarpure", "ginibre")
 
@@ -57,6 +52,17 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _fields_text(report, *names: str) -> str:
+    """One `name = value` line for each named field of a report dataclass."""
+
+    def text(value) -> str:
+        if isinstance(value, bool):  # before int: a bool is an int
+            return str(value).lower()
+        return _fmt(value) if isinstance(value, float) else str(value)
+
+    return "".join(f"{name} = {text(getattr(report, name))}\n" for name in names)
 
 
 def _json_text(payload) -> str:
@@ -88,7 +94,7 @@ def _parse_moments(text: str | None) -> tuple[int, ...]:
     return tuple(_moment_order(int(n)) for n in text.split(",")) if text else ()
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> str:
     kind = args.kind
     if kind == "bell":
         sf = statefile.from_bipartite(maximally_entangled(2))
@@ -116,8 +122,7 @@ def cmd_gen(args) -> int:
         sf = statefile.from_bipartite(zero_discord_state(probs, basis, envs))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {kind!r}")
-    _emit(statefile.dumps(sf), args.out)
-    return 0
+    return statefile.dumps(sf)
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -132,7 +137,7 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
     return items
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     # the rate flags are checked also when no Hamiltonian puts them to use
     ns = _parse_moments(args.moments)
     if args.regularize is not None:
@@ -153,20 +158,17 @@ def cmd_analyze(args) -> int:
         payload["rates"]["moment_rates"] = {str(n): v for n, v in report.moment_rates.items()}
 
     if args.json:
-        _emit(_json_text(payload), args.out)
-    elif args.csv:
+        return _json_text(payload)
+    if args.csv:
         rows = [
             [k, v if isinstance(v, float) else json.dumps(v, separators=(",", ":"))]
             for k, v in _flatten(payload)
         ]
-        _emit(_csv_text(["key", "value"], rows), args.out)
-    else:
-        lines = [f"{k} = {v!r}" for k, v in _flatten(payload)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _csv_text(["key", "value"], rows)
+    return "".join(f"{k} = {v!r}\n" for k, v in _flatten(payload))
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> str:
     state = statefile.load_state(args.state)
     h_tot = statefile.load_hamiltonian(args.hamiltonian)
     if args.t_max <= 0:
@@ -183,11 +185,10 @@ def cmd_evolve(args) -> int:
         [float(t), *(getattr(rec, c) for c in cols), *(rec.moment_values[n] for n in ns)]
         for t, rec in zip(traj.times, traj.records)
     ]
-    _emit(_csv_text(["time", *cols, *(f"moment_{n}" for n in ns)], rows), args.out)
-    return 0
+    return _csv_text(["time", *cols, *(f"moment_{n}" for n in ns)], rows)
 
 
-def cmd_detect_discord(args) -> int:
+def cmd_detect_discord(args) -> str:
     state = statefile.load_state(args.state)
     verdict = detect_discord(
         state,
@@ -198,19 +199,12 @@ def cmd_detect_discord(args) -> int:
         fd_step=args.fd_step,
     )
     if args.json:
-        _emit(_json_text(dataclasses.asdict(verdict)), args.out)
-    else:
-        lines = [
-            f"samples = {verdict.samples}",
-            f"max_abs_purity_rate = {_fmt(verdict.max_abs_purity_rate)}",
-            f"threshold = {_fmt(verdict.threshold)}",
-            f"discord_detected = {str(verdict.discord_detected).lower()}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _json_text(dataclasses.asdict(verdict))
+    names = ("samples", "max_abs_purity_rate", "threshold", "discord_detected")
+    return _fields_text(verdict, *names)
 
 
-def cmd_sparsity(args) -> int:
+def cmd_sparsity(args) -> str:
     include = statefile.load_state(args.include_file) if args.include_file else None
     rank = args.rank if args.rank is not None else args.ds * args.de
     summary = sparsity_scan(
@@ -224,32 +218,24 @@ def cmd_sparsity(args) -> int:
         bins=args.bins,
     )
     if args.json:
-        _emit(_json_text(dataclasses.asdict(summary)), args.out)
-    else:
-        lines = [
-            f"samples = {summary.samples}",
-            f"lazy_tol = {_fmt(summary.lazy_tol)}",
-            f"count_below_tol = {summary.count_below_tol}",
-            f"median_trace_norm = {_fmt(summary.median_trace_norm)}",
-            "histogram (edge_lo, edge_hi, count):",
-        ]
-        for lo, hi, c in zip(
-            summary.histogram_edges[:-1], summary.histogram_edges[1:], summary.histogram_counts
-        ):
-            lines.append(f"  {_fmt(lo)} {_fmt(hi)} {c}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _json_text(dataclasses.asdict(summary))
+    edges = summary.histogram_edges
+    bins = zip(edges[:-1], edges[1:], summary.histogram_counts)
+    return (
+        _fields_text(summary, "samples", "lazy_tol", "count_below_tol", "median_trace_norm")
+        + "histogram (edge_lo, edge_hi, count):\n"
+        + "".join(f"  {_fmt(lo)} {_fmt(hi)} {c}\n" for lo, hi, c in bins)
+    )
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     rows = bound_sweep(ds=args.ds, de=args.de, samples=args.samples, seed=args.seed)
     header = [f.name for f in dataclasses.fields(SweepRow)]
     table = [
         ["" if v is None else int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(r)]
         for r in rows
     ]
-    _emit(_csv_text(header, table), args.out)
-    return 0
+    return _csv_text(header, table)
 
 
 @functools.cache
@@ -276,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-e", type=int, default=None, help="environment factor rank (product)")
     p.add_argument("--probs", type=str, default="0.5,0.5", help="comma list (zerodiscord)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze", help="commutator/correlation (and rate) report")
@@ -288,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("evolve", help="trajectory CSV under a total Hamiltonian")
@@ -298,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--moments", type=str, default=None, help="extra moment orders, e.g. 3,4")
     p.add_argument("--regularize", type=float, default=None)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("detect-discord", help="purity-monitoring discord test")
@@ -309,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd", action="store_true", help="estimate rates by finite differences")
     p.add_argument("--fd-step", type=float, default=FD_STEP)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_detect_discord)
 
     p = sub.add_parser("sparsity", help="Monte Carlo scan of the commutator trace norm")
@@ -322,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-file", type=str, default=None, help="inject a state as sample 0")
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sparsity)
 
     p = sub.add_parser("sweep", help="bound-tightness CSV over random pairs")
@@ -330,9 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--de", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sweep)
 
+    # last on every subcommand, so each --help lists it last
+    for p in sub.choices.values():
+        p.add_argument("--out", type=str, default=None)
     return parser
 
 
@@ -340,13 +323,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except RankDeficientStateError as exc:
+        # inside the try: an unwritable --out exits 2 like any other input error
+        _emit(args.func(args), args.out)
+        return 0
+    except (ValueError, OSError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (StateFileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, RankDeficientStateError) else 2
 
 
 def entry() -> None:
