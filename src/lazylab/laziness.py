@@ -192,7 +192,7 @@ class _Eigenbasis:
 
     @cached_property
     def comm_trace_norm(self):
-        return self.commutator_trace_norm(self.lam)
+        return _trace_norm_hermitian(1j * self.comm)
 
     @cached_property
     def comm_frobenius_norm(self) -> float:
@@ -297,6 +297,10 @@ class _RankOne(_Eigenbasis):
 
     def commutator_trace_norm(self, f_lam: np.ndarray) -> float:
         return _rank_one_trace_norm(self.lam, f_lam)
+
+    @cached_property
+    def comm_trace_norm(self) -> float:
+        return self.commutator_trace_norm(self.lam)
 
     @cached_property
     def comm_frobenius_norm(self) -> float:

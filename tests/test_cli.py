@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lazylab import haar_random_pure, random_hermitian, record_trajectory, statefile
+from lazylab import haar_random_pure, laziness, random_hermitian, record_trajectory, statefile
 from lazylab.cli import main
 
 from .cli_runner import run_lazylab
@@ -510,6 +510,28 @@ def test_analyze_factorizes_rho_s_once(analyze_8x8_files, monkeypatch, capsys, k
 
     argv = ["analyze", analyze_8x8_files[kind], *(analyze_8x8_files.get(a, a) for a in args)]
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [(["--json"], 1), (["H", "--json"], 2), (["H", "--regularize", "1e-3"], 2)],
+)
+def test_analyze_builds_each_dense_commutator_once(monkeypatch, capsys, args, expected):
+    # C = [rho_S (x) I, rho_SE] serves both of its norms; a Hamiltonian adds the
+    # log commutator K, whose regularized norm is the unregularized one scaled
+    calls = []
+    weigh_blocks = laziness._Eigenbasis.weigh_blocks
+
+    def counting(self, w):
+        calls.append(w.shape)
+        return weigh_blocks(self, w)
+
+    h = str(GOLDEN / "hamiltonian_2x2.json")
+    argv = ["analyze", str(GOLDEN / "product.json"), *(h if a == "H" else a for a in args)]
+    monkeypatch.setattr(laziness._Eigenbasis, "weigh_blocks", counting)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == expected
