@@ -224,8 +224,7 @@ def matrix_function(h, f: Callable[[float], float], *, name: str = "matrix") -> 
             f"function undefined at eigenvalue {spec.eigenvalues[bad[0]]!r} "
             f"of {name}"
         )
-    v = spec.eigenvectors
-    return (v * fw) @ dagger(v)
+    return HermitianSpectrum(fw, spec.eigenvectors).reconstruct()
 
 
 def matrix_log(h, *, floor: float = LOG_EIGENVALUE_FLOOR, name: str = "matrix") -> np.ndarray:
@@ -241,13 +240,10 @@ def matrix_log(h, *, floor: float = LOG_EIGENVALUE_FLOOR, name: str = "matrix") 
             f"ln undefined: {name} has eigenvalue {lam_min:.3e} below "
             f"floor {floor:.1e}"
         )
-    v = spec.eigenvectors
-    return (v * np.log(spec.eigenvalues)) @ dagger(v)
+    return HermitianSpectrum(np.log(spec.eigenvalues), spec.eigenvectors).reconstruct()
 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """U = exp(-i h t) via the spectral decomposition (hbar = 1)."""
     spec = hermitian_eig(h, name="hamiltonian")
-    v = spec.eigenvectors
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    return (v * phases) @ dagger(v)
+    return HermitianSpectrum(np.exp(-1j * spec.eigenvalues * t), spec.eigenvectors).reconstruct()
