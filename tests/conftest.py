@@ -50,6 +50,31 @@ def schmidt_pure_vector(probs, seed=None):
     return chi / np.linalg.norm(chi)
 
 
+def lazy_block_state(blocks, de, seed):
+    """A random lazy state whose system projectors have the ranks ``blocks``.
+
+    A Haar basis of C^ds (ds = sum(blocks)) is split into blocks V_j of
+    r_j columns. Each block holds a full-rank Ginibre state s_j on
+    C^{r_j} (x) C^de, filtered by (m_j^{-1/2} / sqrt(r_j)) (x) I with
+    m_j = tr_E s_j, so that its tr_E is I / r_j. Then
+    rho = sum_j p_j (V_j (x) I) s_j (V_j (x) I)† is lazy, with
+    rho_S = sum_j p_j V_j V_j† / r_j, and may be entangled within a block.
+    """
+    ds = sum(blocks)
+    basis = haar_random_unitary(ds, derive_rng(seed, 0))
+    probs = derive_rng(seed, 1).dirichlet(np.ones(len(blocks)))
+    rho = np.zeros((ds * de, ds * de), dtype=complex)
+    start = 0
+    for j, (r, p) in enumerate(zip(blocks, probs)):
+        s = ginibre_mixed(r * de, r * de, derive_rng(seed, 2, j))
+        m = np.trace(s.reshape(r, de, r, de), axis1=1, axis2=3)
+        w, v = np.linalg.eigh(m)
+        lift = np.kron(basis[:, start:start + r] @ ((v / np.sqrt(w * r)) @ v.conj().T), np.eye(de))
+        rho += p * (lift @ s @ lift.conj().T)
+        start += r
+    return BipartiteState(ds=ds, de=de, matrix=(rho + rho.conj().T) / 2)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

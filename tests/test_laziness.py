@@ -56,6 +56,7 @@ from lazylab.laziness import (
 from lazylab.protocol import sparsity_scan
 
 from .conftest import (
+    lazy_block_state,
     random_full_rank_state,
     random_interaction,
     random_pure_bipartite,
@@ -308,6 +309,29 @@ def test_entropy_rate_zero_on_lazy_states():
         for k in range(5):
             h_int = random_interaction(st.ds, st.de, derive_rng(2024, i, k))
             assert abs(entropy_rate(st, h_int)) < 1e-10
+
+
+@pytest.mark.parametrize("de", [2, 3])
+@pytest.mark.parametrize("blocks", [(2,), (1, 2), (2, 2), (1, 3), (1, 1, 2), (2, 2, 2), (3, 5)])
+def test_lazy_states_of_every_projector_rank(blocks, de):
+    # lazy_block_state draws lazy states that are not products, classical-quantum
+    # states or maximally entangled ones: a projector of rank r_j holds an
+    # arbitrary state of C^{r_j} (x) C^de whose system marginal is I / r_j
+    negativities = []
+    for seed in range(3):
+        st = lazy_block_state(blocks, de, seed)
+        assert laziness_commutator(st).lazy
+        assert pinching_residual(st) <= default_lazy_tolerance(st.ds, de)
+        h = np.stack([random_interaction(st.ds, de, derive_rng(6061, seed, k)) for k in range(4)])
+        for rates in (
+            moment_rate(st, h, 2),
+            moment_rate(st, h, 3),
+            entropy_rate(st, h),
+            entropy_rate(st, h, regularize=1e-3),
+        ):
+            assert np.abs(rates).max() <= 1e-12
+        negativities.append(correlation_measures(st).negativity)
+    assert max(negativities) > 0.0
 
 
 def test_entropy_rate_maxent_any_hamiltonian():
