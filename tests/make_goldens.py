@@ -105,7 +105,10 @@ CLI_GOLDENS = (
     (("analyze", PRODUCT, HAMILTONIAN, "--json"), "analyze_product_h.json"),
     (("analyze", SCHMIDT, HAMILTONIAN, "--json"), "analyze_schmidt_h.json"),
     (("evolve", BELL, HAMILTONIAN, "--t-max", "1.0", "--steps", "5"), "evolve_bell.csv"),
-    (("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3", "--json"), "detect_schmidt.json"),
+    (
+        ("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3", "--json"),
+        "detect_schmidt.json",
+    ),
     (("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3"), "detect_schmidt.txt"),
     (
         ("detect-discord", ZERODISCORD, "--samples", "20", "--seed", "3", "--json"),
