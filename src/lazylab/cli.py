@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -231,8 +232,9 @@ def cmd_sparsity(args) -> str:
 def cmd_sweep(args) -> str:
     rows = bound_sweep(ds=args.ds, de=args.de, samples=args.samples, seed=args.seed)
     header = [f.name for f in dataclasses.fields(SweepRow)]
+    fields = operator.attrgetter(*header)
     table = [
-        ["" if v is None else int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(r)]
+        ["" if v is None else int(v) if isinstance(v, bool) else v for v in fields(r)]
         for r in rows
     ]
     return _csv_text(header, table)

@@ -28,15 +28,15 @@ from .states import BipartiteState
 
 
 def _env_diagonal(t: np.ndarray) -> np.ndarray:
-    """Writable view v[a, i, j] = t[i, a, j, a] of a (ds, de, ds, de) operator,
-    the entries where an h_s (x) I term adds h_s[i, j]."""
-    return np.einsum("iaja->aij", t)
+    """Writable view v[..., a, i, j] = t[..., i, a, j, a] of (stacked) (ds, de, ds, de)
+    operators, the entries where an h_s (x) I term adds h_s[i, j]."""
+    return np.einsum("...iaja->...aij", t)
 
 
 def _system_diagonal(t: np.ndarray) -> np.ndarray:
-    """Writable view v[i, a, b] = t[i, a, i, b] of a (ds, de, ds, de) operator,
-    the entries where an I (x) h_e term adds h_e[a, b]."""
-    return np.einsum("iaib->iab", t)
+    """Writable view v[..., i, a, b] = t[..., i, a, i, b] of (stacked) (ds, de, ds, de)
+    operators, the entries where an I (x) h_e term adds h_e[a, b]."""
+    return np.einsum("...iaib->...iab", t)
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,25 @@ def decompose_hamiltonian(h_tot, ds: int, de: int) -> HamiltonianTriple:
     With A = tr_E(H)/de, B = tr_S(H)/ds and c = tr(H)/(ds*de):
     h_int = H - A (x) I - I (x) B + c I, h_s = A - (c/2) I, h_e = B - (c/2) I.
     Both partial traces of h_int vanish and the triple reassembles H exactly.
+
+    Leading axes stack Hamiltonians, each split on its own, and every part
+    of the triple then carries them; for a stack, the Hermiticity error
+    carries the failing Hamiltonian's ``index``.
     """
     h = linalg._require_dims(linalg.require_hermitian(h_tot, name="h_tot"), ds, de, "h_tot")
-    t = h.reshape(ds, de, ds, de)  # a view of the fresh h, written after the partial traces
+    lead = h.shape[:-2]
+    t = h.reshape(*lead, ds, de, ds, de)  # a view of the fresh h, written after the partial traces
     dim = ds * de
     a = linalg.partial_trace(h, ds, de, keep="system") / de
     b = linalg.partial_trace(h, ds, de, keep="environment") / ds
-    c = float(np.trace(h).real) / dim
-    _env_diagonal(t)[...] -= a
-    _system_diagonal(t)[...] -= b
-    h_int = t.reshape(dim, dim)
-    h_int.reshape(-1)[:: dim + 1] += c
+    c = h.trace(axis1=-2, axis2=-1).real[..., None] / dim
+    _env_diagonal(t)[...] -= a[..., None, :, :]
+    _system_diagonal(t)[...] -= b[..., None, :, :]
+    h_int = t.reshape(*lead, dim, dim)
+    h_int.reshape(*lead, dim * dim)[..., :: dim + 1] += c
     return HamiltonianTriple(
-        h_s=a - (c / 2.0) * np.eye(ds),
-        h_e=b - (c / 2.0) * np.eye(de),
+        h_s=a - (c[..., None] / 2.0) * np.eye(ds),
+        h_e=b - (c[..., None] / 2.0) * np.eye(de),
         h_int=h_int,
     )
 

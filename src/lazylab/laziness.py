@@ -21,14 +21,15 @@ factorizes rho_S once. Its three variants differ in where rho_SE (``mat``)
 comes from. _Dense holds the validated matrix. _RankOne holds a pure
 state's chi and forms |chi><chi| only when asked; its closed forms read
 the Schmidt weights: ||C||_F = ||C||_1 / sqrt(2), S(rho_E) = S(rho_S),
-S(rho_SE) = 0 and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
+S(rho_SE) = 0, tr rho_SE^2 = 1 and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
 _Regularized holds rho_SE's evaluator and a weight d, and forms
 rho_r = (1-d) rho_SE + d I/dim only when asked, with no eigensolve:
 rho_r keeps the eigenvectors u, lam_r = (1-d) lam + d/ds and
 rho'_r = (1-d) rho' + d I/dim. The identity sits in the diagonal blocks,
 which every commutator weighs by 0, so C_r = (1-d)^2 C, K_r is (1-d)
 times rho' weighed by ln lam_r, and the flow is (1-d) times rho_SE's,
-since tr_E(h) d/dim is Hermitian.
+since tr_E(h) d/dim is Hermitian. Its purity is
+tr rho_r^2 = (1-d)^2 tr rho_SE^2 + (2d - d^2)/dim.
 
 The kernel also takes states stacked along leading axes (the Monte Carlo
 protocols evaluate their samples that way); every per-state check then
@@ -232,6 +233,15 @@ class _Eigenbasis:
     def total_entropy(self):
         return von_neumann_entropy(self.mat)
 
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[-1]
+
+    @cached_property
+    def purity(self):
+        """tr rho_SE^2 = ||rho_SE||_F^2."""
+        return linalg._frobenius(self.mat) ** 2
+
     @cached_property
     def mutual_information(self):
         return self.system_entropy + self.environment_entropy - self.total_entropy
@@ -313,6 +323,11 @@ class _RankOne(_Eigenbasis):
         return self.system_entropy
 
     total_entropy = 0.0
+    purity = 1.0
+
+    @property
+    def dim(self) -> int:
+        return self.chi.shape[-1]
 
     @cached_property
     def negativity(self) -> float:
@@ -362,10 +377,17 @@ class _Regularized(_Eigenbasis):
     base: _Eigenbasis
     d: float
 
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
     @cached_property
     def mat(self) -> np.ndarray:
-        dim = self.base.mat.shape[-1]
-        return (1.0 - self.d) * self.base.mat + self.d * np.eye(dim) / dim
+        return (1.0 - self.d) * self.base.mat + self.d * np.eye(self.dim) / self.dim
+
+    @cached_property
+    def purity(self):
+        return (1.0 - self.d) ** 2 * self.base.purity + (2.0 * self.d - self.d**2) / self.dim
 
     def commutator_trace_norm(self, f_lam: np.ndarray):
         return (1.0 - self.d) * self.base.commutator_trace_norm(f_lam)
@@ -601,7 +623,7 @@ def rate_bounds(
     h_norm = _operator_norm_hermitian(h)
     ev = _regularized(_evaluator(rho), regularize)
     report = _rate_report(ev, h, h_norm, ns)
-    if not _is_pure(ev.mat):
+    if not _is_pure(ev.purity):
         return report
     return replace(report, mi_purity_bound=_mi_purity_bound(ev.mutual_information, h_norm))
 

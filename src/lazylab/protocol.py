@@ -2,9 +2,13 @@
 
 These are the batch experiments the CLI fronts. All of them derive
 per-trial generators from one seed, so results are reproducible and
-independent of evaluation order. The draws run trial by trial; the
-linear algebra runs on the samples stacked into (n, dim, dim) arrays,
-one chunk of trials at a time.
+independent of evaluation order. Trials run in chunks. Within a chunk
+only the draws run trial by trial: each trial's generator draws its
+Gaussian numbers in a fixed order (bound_sweep also normalizes its
+Haar-pure vectors one by one). Everything after the draws runs once
+per chunk on the samples stacked into (n, dim, dim) arrays: the GUE and
+Ginibre arithmetic, the coupling decomposition, every per-sample check
+(its error names the failing trial) and the rates and norms.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ from .laziness import (
 from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
 from .states import (
     BipartiteState,
+    _draw,
     _is_pure,
     derive_rng,
-    ginibre_mixed,
     haar_random_pure,
-    random_hermitian,
     validate_density_matrix,
 )
 
@@ -86,7 +89,7 @@ class SweepRow:
 def _unit_couplings(dim: int, ds: int, de: int, rngs) -> np.ndarray:
     """GUE couplings reduced to traceless-partial-trace form, operator norm 1.
 
-    One coupling per generator in ``rngs``, drawn in order and stacked.
+    One coupling per generator in ``rngs``, stacked and decomposed as one.
     With ds or de equal to 1 every such coupling is zero, so those dims
     are refused before the first coupling is drawn.
     """
@@ -95,7 +98,7 @@ def _unit_couplings(dim: int, ds: int, de: int, rngs) -> np.ndarray:
             f"random couplings need ds, de >= 2, got dims ({ds}, {de}): "
             f"every interaction with a one-dimensional factor is zero"
         )
-    hs = np.stack([decompose_hamiltonian(random_hermitian(dim, rng), ds, de).h_int for rng in rngs])
+    hs = decompose_hamiltonian(_draw(rngs, dim), ds, de).h_int
     nrm = _operator_norm_hermitian(hs)
     linalg._raise_first(nrm == 0.0, ValueError, lambda i: "sampled interaction collapsed to zero")
     return hs / nrm[:, None, None]
@@ -193,12 +196,10 @@ def sparsity_scan(
     chunks = _trial_chunks(samples, dim)
     arr = np.empty(samples)
     for trials in chunks:
-        mats = np.stack([
-            include.matrix
-            if include is not None and trial == 0
-            else ginibre_mixed(dim, rank, derive_rng(seed, trial))
-            for trial in trials
-        ])
+        rngs = [derive_rng(seed, trial) for trial in trials if include is None or trial > 0]
+        mats = _draw(rngs, dim, rank)
+        if len(rngs) < len(trials):  # trial 0 is the included state
+            mats = np.concatenate((include.matrix[None], mats))
         with _naming_trials(trials):
             mats = validate_density_matrix(mats, name="bipartite state")
             arr[trials.start : trials.stop] = _eigenbasis(mats, ds).comm_trace_norm
@@ -235,19 +236,18 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     for trials in _trial_chunks(samples, dim):
         # each trial's generator draws its state first, then its coupling
         rngs = [derive_rng(seed, trial) for trial in trials]
-        mats = []
-        for trial, rng in zip(trials, rngs):
-            if trial % 2 == 1 and ds <= de:
-                chi = haar_random_pure(dim, rng)
-                mats.append(np.outer(chi, chi.conj()))
-            else:
-                mats.append(ginibre_mixed(dim, dim, rng))
+        haar = np.array([trial % 2 == 1 and ds <= de for trial in trials])
+        mats = np.empty((len(trials), dim, dim), dtype=complex)
+        mats[~haar] = _draw([rng for rng, h in zip(rngs, haar) if not h], dim, dim)
+        for k in np.flatnonzero(haar):
+            chi = haar_random_pure(dim, rngs[k])
+            mats[k] = np.outer(chi, chi.conj())
         with _naming_trials(trials):
             hs = _check_h_int(_unit_couplings(dim, ds, de, rngs), ds, de)
-            mats = validate_density_matrix(np.stack(mats), name="bipartite state")
+            mats = validate_density_matrix(mats, name="bipartite state")
             ev = _eigenbasis(mats, ds)
             report = _rate_report(ev, hs, 1.0, ())
-        pure = _is_pure(mats)
+        pure = _is_pure(ev.purity)
         # kept on the pure rows only, where I(S:E) = 2 S(rho_S)
         mi_bound = _mi_purity_bound(2.0 * ev.system_entropy, 1.0)
         er, eb = report.entropy_rate, report.entropy_bound

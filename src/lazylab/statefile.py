@@ -157,12 +157,13 @@ def _from_payload(payload) -> StateFile:
         set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
     ):
         raise StateFileError("data must be a list of [re, im] pairs")
+    entries = list(chain.from_iterable(raw))
     # int or float only (bool is its own type here): a float conversion
     # would also accept strings, true/false and null
-    if not set(map(type, chain.from_iterable(raw))) <= {int, float}:
+    if not set(map(type, entries)) <= {int, float}:
         raise StateFileError("data entries must be JSON numbers")
     try:
-        flat = np.fromiter(chain.from_iterable(raw), float, 2 * len(raw)).view(complex)
+        flat = np.fromiter(entries, float, len(entries)).view(complex)
     except OverflowError as exc:
         raise StateFileError(f"data entry out of floating-point range: {exc}") from exc
     return _checked(payload["dims"], payload["kind"], flat)

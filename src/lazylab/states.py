@@ -65,9 +65,9 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     return mat
 
 
-def _is_pure(mat: np.ndarray, tol: float = PURITY_TOL):
-    """tr rho^2 > 1 - tol for each (stacked) density matrix in mat."""
-    return linalg._frobenius(mat) ** 2 > 1.0 - tol
+def _is_pure(purity, tol: float = PURITY_TOL):
+    """The pure verdict tr rho^2 > 1 - tol, for one purity tr rho^2 or an array of them."""
+    return purity > 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class BipartiteState:
         return float(np.linalg.norm(self.matrix) ** 2)
 
     def is_pure(self, *, tol: float = PURITY_TOL) -> bool:
-        return bool(_is_pure(self.matrix, tol))
+        return bool(_is_pure(self.purity(), tol))
 
 
 @dataclass(frozen=True)
@@ -218,15 +218,32 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
     return q * phases
 
 
+def _draw(rngs, d: int, rank: int | None = None) -> np.ndarray:
+    """One sample per generator in ``rngs``, stacked along a leading axis.
+
+    Without ``rank`` each sample is a GUE matrix (A + A†)/2, with it a
+    Ginibre density matrix G G† / tr(G G†); A is d x d and G is d x rank,
+    standard complex Gaussian. Each generator draws its own matrix, real
+    parts first, and the arithmetic then runs once on the whole stack.
+    ``rank`` must lie in [1, d].
+    """
+    if rank is not None and not 1 <= rank <= d:
+        raise ValueError(f"rank must be in [1, {d}], got {rank}")
+    cols = d if rank is None else rank
+    g = np.empty((len(rngs), d, cols), dtype=complex)
+    for k, rng in enumerate(rngs):
+        g[k] = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
+    if rank is not None:  # G -> G G† / tr(G G†)
+        g = g @ linalg.dagger(g)
+        g /= g.trace(axis1=-2, axis2=-1).real[:, None, None]
+    out = g + linalg.dagger(g)
+    out /= 2
+    return out
+
+
 def ginibre_mixed(d: int, rank: int, seed) -> np.ndarray:
     """Random density matrix rho = G G† / tr(G G†), G complex Gaussian d x rank."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {rank}")
-    rng = derive_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ linalg.dagger(g)
-    rho /= np.trace(rho).real
-    return (rho + linalg.dagger(rho)) / 2
+    return _draw([derive_rng(seed)], d, rank)[0]
 
 
 def random_hermitian(d: int, seed) -> np.ndarray:
@@ -237,9 +254,7 @@ def random_hermitian(d: int, seed) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = derive_rng(seed)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (a + linalg.dagger(a)) / 2
+    return _draw([derive_rng(seed)], d)[0]
 
 
 def maximally_entangled(d: int) -> BipartiteState:
@@ -275,18 +290,18 @@ def zero_discord_state(
     if len(basis) != p.size or len(env_states) != p.size:
         raise ValueError("probs, basis and env_states must have matching lengths")
 
-    vecs = [np.asarray(b, dtype=complex).reshape(-1) for b in basis]
-    ds = vecs[0].size
-    _require_orthonormal(np.stack(vecs, axis=1), "basis")
+    vecs = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis], axis=1)
+    ds = vecs.shape[0]
+    _require_orthonormal(vecs, "basis")
 
     envs = [validate_density_matrix(e, name=f"env_states[{j}]") for j, e in enumerate(env_states)]
     de = envs[0].shape[0]
     if any(e.shape != (de, de) for e in envs):
         raise ValueError("env_states must share one dimension")
 
-    mat = np.zeros((ds * de, ds * de), dtype=complex)
-    for pj, bj, ej in zip(p, vecs, envs):
-        mat += pj * linalg.kron(np.outer(bj, bj.conj()), ej)
+    # entry (i, a), (k, b) of sum_j p_j |b_j><b_j| (x) rho_j, with b_j the column vecs[:, j]
+    mat = np.einsum("j,ij,kj,jab->iakb", p, vecs, vecs.conj(), np.stack(envs))
+    mat = mat.reshape(ds * de, ds * de)
     return BipartiteState(ds=ds, de=de, matrix=_composite(mat))
 
 

@@ -322,19 +322,24 @@ def test_c09_sparsity_monte_carlo():
 def test_c10_cli_contract_golden_files():
     stable = True
     byte_equal = True
+    outputs = {}
     for args, golden_name in CLI_GOLDENS:
         first = run_lazylab(*args)
         second = run_lazylab(*args)
         assert first.returncode == 0, f"{args}: {first.stderr.decode()}"
         stable &= first.stdout == second.stdout
         byte_equal &= first.stdout == (GOLDEN / golden_name).read_bytes()
+        outputs[golden_name] = first.stdout
 
-    verdicts = {}
-    for fixture in ("zerodiscord.json", "maxent3.json", "schmidt_08_02.json"):
-        out = run_lazylab(
-            "detect-discord", str(GOLDEN / fixture), "--samples", "20", "--seed", "3", "--json"
+    # the table's `detect-discord FIXTURE --samples 20 --seed 3 --json` rows
+    verdicts = {
+        fixture: json.loads(outputs[golden_name])["discord_detected"]
+        for fixture, golden_name in (
+            ("zerodiscord.json", "detect_zerodiscord.json"),
+            ("maxent3.json", "detect_maxent.json"),
+            ("schmidt_08_02.json", "detect_schmidt.json"),
         )
-        verdicts[fixture] = json.loads(out.stdout)["discord_detected"]
+    }
     verdict_ok = (
         verdicts["zerodiscord.json"] is False
         and verdicts["maxent3.json"] is False

@@ -73,6 +73,25 @@ def test_decompose_reassemble_identity_many_dims():
             assert np.linalg.norm(part - part.conj().T) < 1e-10
 
 
+@pytest.mark.parametrize("ds,de", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_decompose_stacked_matches_per_matrix_bit_for_bit(ds, de):
+    hs = np.stack([random_hermitian(ds * de, derive_rng(1300, k)) for k in range(5)])
+    stacked = decompose_hamiltonian(hs, ds, de)
+    for k, h in enumerate(hs):
+        single = decompose_hamiltonian(h, ds, de)
+        for part in ("h_s", "h_e", "h_int"):
+            a, b = getattr(stacked, part)[k], getattr(single, part)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), part
+
+
+def test_decompose_stacked_names_the_failing_hamiltonian():
+    hs = np.stack([random_hermitian(6, derive_rng(1301, k)) for k in range(4)])
+    hs[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="h_tot is not Hermitian") as err:
+        decompose_hamiltonian(hs, 2, 3)
+    assert err.value.index == 2
+
+
 def test_decompose_rejects_bad_input():
     with pytest.raises(ValueError):
         decompose_hamiltonian(np.triu(np.ones((4, 4))), 2, 2)

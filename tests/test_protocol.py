@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +16,13 @@ from lazylab import (
     moment_rate,
     product_state,
     pure_state,
+    random_hermitian,
     rate_bounds,
     sparsity_scan,
     zero_discord_state,
 )
-from lazylab import operator_norm, protocol
+from lazylab import decompose_hamiltonian, laziness, operator_norm, protocol
+from lazylab.states import _draw
 
 from .conftest import random_interaction, schmidt_pure_vector
 
@@ -247,15 +248,117 @@ def test_stacked_protocols_match_single_state_functions(monkeypatch, ds, de):
             assert _close(row.mi_purity_bound, report.mi_purity_bound)
 
 
-def _fail_at(trial, bad, real):
-    """A sampler that returns ``bad`` on its call number ``trial`` and real draws otherwise."""
-    calls = iter(range(10**6))
+# ------------------------------------------ chunked draws against per-trial draws
+# The references below draw and compute each sample on its own, as the
+# protocols did before their draws were stacked, then evaluate each chunk
+# as the protocols do; the protocols must reproduce them bit for bit.
 
-    def sampler(*args):
-        out = real(*args)
-        return bad if next(calls) == trial else out
 
-    return sampler
+def _gue(d, rng):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2
+
+
+def _ginibre(d, rank, rng):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return (rho + rho.conj().T) / 2
+
+
+def _reference_couplings(ds, de, rngs):
+    hs = np.stack([decompose_hamiltonian(_gue(ds * de, rng), ds, de).h_int for rng in rngs])
+    return hs / np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)[:, None, None]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_samplers_keep_their_single_matrix_draws():
+    for d, rank in [(1, 1), (4, 2), (6, 6)]:
+        gue, ginibre = random_hermitian(d, derive_rng(3, d)), ginibre_mixed(d, rank, derive_rng(4, d))
+        assert _same_bits(gue, _gue(d, derive_rng(3, d)))
+        assert _same_bits(ginibre, _ginibre(d, rank, derive_rng(4, d)))
+
+
+@pytest.mark.parametrize("ds,de", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
+    dim, samples, seed = ds * de, 8, 60 + ds * de
+    _small_chunks(monkeypatch, dim)
+    chunks = protocol._trial_chunks(samples, dim)
+    assert len(chunks) == 3
+
+    state = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(dim, dim, seed))
+    rates = []
+    for trials in chunks:
+        hs = _reference_couplings(ds, de, [derive_rng(seed, t) for t in trials])
+        rates += moment_rate(state, hs, 2).tolist()
+    assert _same_bits(detect_discord(state, samples, seed).per_sample_rates, rates)
+
+    lazy = product_state(ginibre_mixed(ds, ds, 1), ginibre_mixed(de, de, 2))
+    for n, include, rank in [(samples, None, dim - 1), (samples, lazy, dim), (1, lazy, dim)]:
+        norms = np.concatenate([
+            laziness._eigenbasis(np.stack([
+                include.matrix if include is not None and t == 0
+                else _ginibre(dim, rank, derive_rng(seed, t))
+                for t in trials
+            ]), ds).comm_trace_norm
+            for trials in protocol._trial_chunks(n, dim)
+        ])
+        summary = sparsity_scan(ds, de, n, rank=rank, seed=seed, include=include, bins=4)
+        edges = np.linspace(0.0, norms.max() if norms.max() > 0 else 1.0, 5)
+        assert summary.median_trace_norm == np.median(norms)
+        assert (summary.min_trace_norm, summary.max_trace_norm) == (norms.min(), norms.max())
+        assert summary.histogram_edges == tuple(edges.tolist())
+        assert summary.histogram_counts == tuple(np.histogram(norms, bins=edges)[0].tolist())
+
+    rows = bound_sweep(ds, de, samples, seed)
+    for trials in chunks:
+        # each trial's generator draws its state first, then its coupling
+        rngs = [derive_rng(seed, t) for t in trials]
+        mats = []
+        for t, rng in zip(trials, rngs):
+            if t % 2 == 1 and ds <= de:
+                chi = haar_random_pure(dim, rng)
+                mats.append(np.outer(chi, chi.conj()))
+            else:
+                mats.append(_ginibre(dim, dim, rng))
+        hs = laziness._check_h_int(_reference_couplings(ds, de, rngs), ds, de)
+        ev = laziness._eigenbasis(np.stack(mats), ds)
+        report = laziness._rate_report(ev, hs, 1.0, ())
+        mi = laziness._mi_purity_bound(2.0 * ev.system_entropy, 1.0)
+        for k, t in enumerate(trials):
+            row = rows[t]
+            assert row.sample == t and row.pure == (t % 2 == 1 and ds <= de)
+            for name in ("entropy_rate", "entropy_bound", "purity_rate", "purity_bound"):
+                assert _same_bits(getattr(row, name), getattr(report, name)[k]), name
+            if row.pure:
+                assert _same_bits(row.mi_purity_bound, mi[k])
+            else:
+                assert row.mi_purity_bound is None
+
+
+def _fail_at(trial, bad, ginibre):
+    """A draw helper whose sample number ``trial`` of one kind is ``bad``.
+
+    The kind is the Ginibre states when ``ginibre``, else the GUE couplings;
+    samples of that kind are counted across calls, and every other sample is
+    the real draw.
+    """
+    seen = 0
+
+    def draw(rngs, d, rank=None):
+        nonlocal seen
+        out = _draw(rngs, d, rank)
+        if (rank is not None) == ginibre:
+            if seen <= trial < seen + len(out):
+                out[trial - seen] = bad
+            seen += len(out)
+        return out
+
+    return draw
 
 
 NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -265,33 +368,33 @@ NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
 def test_stacked_checks_name_the_failing_trial(monkeypatch, trial):
     _small_chunks(monkeypatch, 6)
     not_psd = rf"^trial {trial}: bipartite state has negative eigenvalue"
-    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, NOT_PSD, ginibre_mixed))
+    monkeypatch.setattr(protocol, "_draw", _fail_at(trial, NOT_PSD, ginibre=True))
     with pytest.raises(ValueError, match=not_psd):
         sparsity_scan(3, 2, samples=8, rank=6, seed=1)
-    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, NOT_PSD, ginibre_mixed))
+    monkeypatch.setattr(protocol, "_draw", _fail_at(trial, NOT_PSD, ginibre=True))
     with pytest.raises(ValueError, match=not_psd):
         bound_sweep(3, 2, samples=8, seed=1)  # ds > de: every trial draws a Ginibre state
 
     not_hermitian = np.eye(6, dtype=complex) / 6
     not_hermitian[0, 1] = 1e-6
-    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, not_hermitian, ginibre_mixed))
+    monkeypatch.setattr(protocol, "_draw", _fail_at(trial, not_hermitian, ginibre=True))
     with pytest.raises(ValueError, match=rf"^trial {trial}: bipartite state is not Hermitian"):
         sparsity_scan(3, 2, samples=8, rank=6, seed=1)
 
     # rank-one rho_S: the log floor refuses the entropy rate of that trial only
     rank_one_s = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
-    monkeypatch.setattr(protocol, "ginibre_mixed", _fail_at(trial, rank_one_s, ginibre_mixed))
+    monkeypatch.setattr(protocol, "_draw", _fail_at(trial, rank_one_s, ginibre=True))
     with pytest.raises(RankDeficientStateError, match=rf"^trial {trial}: rho_S has eigenvalue"):
         bound_sweep(3, 2, samples=8, seed=1)
 
+    # a coupling draw is decomposed with its chunk, and the stacked
+    # decomposition refuses a non-Hermitian one before any rate is formed
     state = BipartiteState(ds=3, de=2, matrix=ginibre_mixed(6, 6, 3))
-    real = protocol.decompose_hamiltonian
-    for h_int, error in [
+    for h_tot, error in [
         (np.zeros((6, 6), dtype=complex), "sampled interaction collapsed to zero"),
-        (np.triu(np.ones((6, 6), dtype=complex)), "h_int is not Hermitian"),
+        (np.triu(np.ones((6, 6), dtype=complex)), "h_tot is not Hermitian"),
     ]:
-        bad = replace(real(np.eye(6), 3, 2), h_int=h_int)
-        monkeypatch.setattr(protocol, "decompose_hamiltonian", _fail_at(trial, bad, real))
+        monkeypatch.setattr(protocol, "_draw", _fail_at(trial, h_tot, ginibre=False))
         with pytest.raises(ValueError, match=rf"^trial {trial}: {error}"):
             detect_discord(state, samples=8, seed=1)
 
