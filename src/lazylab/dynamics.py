@@ -14,6 +14,8 @@ import numpy as np
 from . import linalg
 from .laziness import (
     RankDeficientStateError,
+    _chunks,
+    _Eigenbasis,
     _eigenbasis,
     _evaluator,
     _operator_norm_hermitian,
@@ -157,9 +159,12 @@ def finite_difference_rate(
 
 
 def _conjugate(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """W rho W†, symmetrized: Hermitian by construction, with no further check."""
+    """W rho W† (for each stacked W), symmetrized: Hermitian by construction, with no
+    further check."""
     mat = w @ rho @ linalg.dagger(w)
-    return (mat + linalg.dagger(mat)) / 2
+    mat += linalg.dagger(mat)
+    mat *= 0.5
+    return mat
 
 
 def record_trajectory(
@@ -177,14 +182,18 @@ def record_trajectory(
     H_tot = V diag(E) V† and rho_h = V† rho0 V formed once, each sample
     is rho(t) = W rho_h W† for W = V diag(exp(-i E t)); one factorization
     of its rho_S yields the reduced observables, the commutator norms and
-    every rate. Each step's evaluator comes from laziness._eigenbasis. When rho0's
-    own evaluator is rank-one, rho0 = |chi><chi| evolves as the vector
-    chi(t) = W V† chi, whose evaluator never forms |chi(t)><chi(t)|, regularized or not.
+    every rate. The steps run in chunks of laziness._chunks (2^14 / dim^2
+    steps), each read from one evaluator of its stacked states, which
+    laziness._eigenbasis builds. A unitary step keeps rho0's purity, so rho0's
+    own evaluator decides the path: when it is rank-one, rho0 = |chi><chi|
+    evolves as the vectors chi(t) = W V† chi, stacked (n, dim), whose rank-one
+    evaluator never forms |chi(t)><chi(t)|, regularized or not; otherwise the
+    steps are the stacked (n, dim, dim) matrices W rho_h W†.
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). With
     ``regularize`` the rates come from the regularized evaluator derived
-    from each step's (W I W† = I), with no eigensolve of its own.
+    from each chunk's (W I W† = I), with no eigensolve of its own.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -194,8 +203,7 @@ def record_trajectory(
     if np.any(np.diff(ts) < 0):
         raise ValueError("times must be sorted ascending")
 
-    ds = rho0.ds
-    triple = decompose_hamiltonian(h_tot, ds, rho0.de)
+    triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
     spec = linalg.hermitian_eig(triple.reassemble(), name="h_tot")
     h_norm = _operator_norm_hermitian(triple.h_int)
     v, vd = spec.eigenvectors, linalg.dagger(spec.eigenvectors)
@@ -203,21 +211,36 @@ def record_trajectory(
     pure = isinstance(ev0, _RankOne)
     rho_h = vd @ ev0.chi if pure else vd @ rho0.matrix @ v  # V† chi when pure
 
+    def evaluator(t: np.ndarray) -> _Eigenbasis:
+        """The evaluator of the steps at times t, stacked."""
+        phases = np.exp(-1j * spec.eigenvalues * t[:, None])
+        if pure:  # chi(t) = W V† chi, one matrix-vector product per step
+            return _eigenbasis((v @ (phases * rho_h)[..., None])[..., 0], rho0.ds, vectors=True)
+        return _eigenbasis(_conjugate(v * phases[:, None, :], rho_h), rho0.ds)
+
     records = []
-    for t in ts:
-        phase = np.exp(-1j * spec.eigenvalues * t)
-        ev = _eigenbasis(v @ (phase * rho_h) if pure else _conjugate(v * phase, rho_h), ds)
-        report = _rate_report(_regularized(ev, regularize), triple.h_int, h_norm, ())
-        records.append(
-            TrajectoryRecord(
-                entropy=_spectral_entropy(ev.lam),
-                purity=float((ev.lam**2).sum()),
-                moment_values=_power_sums(ev.lam, ns),
-                comm_trace_norm=ev.comm_trace_norm,
-                entropy_rate=report.entropy_rate,
-                entropy_bound=report.entropy_bound,
-                purity_rate=report.purity_rate,
-                purity_bound=report.purity_bound,
-            )
-        )
+    for steps in _chunks(ts.size, rho0.dim):
+        t = ts[steps.start : steps.stop]
+        # built and read in one expression, so each chunk's arrays are freed
+        # before the next chunk's are allocated
+        records += _records(evaluator(t), triple.h_int, h_norm, ns, regularize)
     return Trajectory(times=ts, records=tuple(records))
+
+
+def _records(ev, h_int, h_norm, ns, regularize) -> list[TrajectoryRecord]:
+    """The records of one chunk of steps, read from their stacked evaluator ev."""
+    report = _rate_report(_regularized(ev, regularize), h_int, h_norm, ())
+    moments = {n: m.tolist() for n, m in _power_sums(ev.lam, ns).items()}
+    columns = (
+        _spectral_entropy(ev.lam),
+        (ev.lam**2).sum(axis=-1),
+        ev.comm_trace_norm,
+        report.entropy_rate,
+        report.entropy_bound,
+        report.purity_rate,
+        report.purity_bound,
+    )
+    return [
+        TrajectoryRecord(e, p, {n: m[k] for n, m in moments.items()}, c, er, eb, pr, pb)
+        for k, (e, p, c, er, eb, pr, pb) in enumerate(zip(*(col.tolist() for col in columns)))
+    ]

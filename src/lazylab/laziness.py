@@ -31,9 +31,10 @@ times rho' weighed by ln lam_r, and the flow is (1-d) times rho_SE's,
 since tr_E(h) d/dim is Hermitian. Its purity is
 tr rho_r^2 = (1-d)^2 tr rho_SE^2 + (2d - d^2)/dim.
 
-The kernel also takes states stacked along leading axes (the Monte Carlo
-protocols evaluate their samples that way); every per-state check then
-runs on each state, and its error carries the failing state's ``index``.
+The kernel also takes states stacked along leading axes: the Monte Carlo
+protocols evaluate their samples that way, and record_trajectory its time
+steps, both in chunks of _chunks. Every per-state check then runs on each
+state, and its error carries the failing state's ``index``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,23 @@ from .linalg import IMAG_TOL, LAZY_TOL_PER_DIM, PROJECTOR_TOL
 from .states import BipartiteState, SpectralProjection, _cluster_labels, _is_pure
 
 
+# Complex entries of one stacked (n, dim, dim) array (256 KiB): stacked states are
+# evaluated in chunks of n = _CHUNK_ENTRIES // dim**2, so memory stays bounded
+# however many samples or time steps are asked for.
+_CHUNK_ENTRIES = 1 << 14
+
+
 class RankDeficientStateError(ValueError):
     """rho_S has an eigenvalue too small for ln(rho_S) to be meaningful."""
+
+
+def _chunks(samples: int, dim: int) -> list[range]:
+    """Consecutive ranges of samples (trials, time steps) whose stacked arrays fit
+    _CHUNK_ENTRIES."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    step = max(1, _CHUNK_ENTRIES // dim**2)
+    return [range(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +183,9 @@ class _Eigenbasis:
     @cached_property
     def rho(self) -> np.ndarray:
         rot = _lifted_sandwich(linalg.dagger(self.u), self.mat, self.u)
-        return (rot + linalg.dagger(rot)) / 2
+        rot += linalg.dagger(rot)
+        rot *= 0.5
+        return rot
 
     def unrotate(self, op: np.ndarray) -> np.ndarray:
         return _lifted_sandwich(self.u, op, linalg.dagger(self.u))
@@ -297,13 +315,14 @@ class _Dense(_Eigenbasis):
 @dataclass(frozen=True)
 class _RankOne(_Eigenbasis):
     """A pure |chi><chi|: norms, entropies and X come from M = chi.reshape(ds, de),
-    rho_S = M M†; mat and the inherited dense members are built only when asked for."""
+    rho_S = M M†; mat and the inherited dense members are built only when asked for.
+    Leading axes of chi stack states."""
 
     chi: np.ndarray
 
     @cached_property
     def mat(self) -> np.ndarray:
-        return np.outer(self.chi, self.chi.conj())
+        return self.chi[..., :, None] * self.chi.conj()[..., None, :]
 
     def commutator_trace_norm(self, f_lam: np.ndarray) -> float:
         return _rank_one_trace_norm(self.lam, f_lam)
@@ -334,28 +353,34 @@ class _RankOne(_Eigenbasis):
         return max(0.0, (float(np.sqrt(self.lam).sum()) ** 2 - 1.0) / 2.0)
 
     def interaction_trace(self, h: np.ndarray) -> np.ndarray:
-        """X = tr_E(h |chi><chi|) = Phi M† with Phi = (h chi).reshape(ds, de)."""
-        m = self.chi.reshape(self.lam.shape[-1], -1)
-        phi = (h @ self.chi).reshape(*h.shape[:-2], *m.shape)
-        return phi @ linalg.dagger(m)
+        """X = tr_E(h |chi><chi|) = Phi M† with Phi = (h chi).reshape(ds, de); stacks
+        of h and of chi broadcast."""
+        m = self.chi.reshape(*self.chi.shape[:-1], self.lam.shape[-1], -1)
+        phi = h @ self.chi[..., None]
+        return phi.reshape(*phi.shape[:-2], *m.shape[-2:]) @ linalg.dagger(m)
 
 
 def _rank_one(chi: np.ndarray, ds: int) -> _RankOne:
-    """The evaluator of |chi><chi| (chi a unit vector, system dimension ds).
+    """The evaluator of |chi><chi| (chi unit vector(s), system dimension ds).
 
     lam is the squared singular values of M, zero-padded when ds > de: eigh(M M†)
     would leave a product state's zero weights at eps, read as sqrt(eps) by the norms.
     """
-    m = chi.reshape(ds, -1)
-    u, s, _ = np.linalg.svd(m, full_matrices=ds > m.shape[1])
-    lam = np.concatenate([np.zeros(ds - s.size), s[::-1] ** 2])
-    return _RankOne(lam=lam, u=u[:, ::-1], chi=chi)
+    m = chi.reshape(*chi.shape[:-1], ds, -1)
+    u, s, _ = np.linalg.svd(m, full_matrices=ds > m.shape[-1])
+    pad = np.zeros((*s.shape[:-1], ds - s.shape[-1]))
+    lam = np.concatenate([pad, s[..., ::-1] ** 2], axis=-1)
+    return _RankOne(lam=lam, u=u[..., ::-1], chi=chi)
 
 
-def _eigenbasis(state: np.ndarray, ds: int) -> _Eigenbasis:
-    """The evaluator of the validated state(s) with system dimension ds: rank-one for a
-    unit vector or one matrix pure within dim * eps, else dense (stacks included)."""
-    if state.ndim == 1:
+def _eigenbasis(state: np.ndarray, ds: int, *, vectors: bool = False) -> _Eigenbasis:
+    """The evaluator of the validated state(s) with system dimension ds: rank-one for
+    unit ``vectors`` or one matrix pure within dim * eps, else dense (stacks included).
+
+    ``vectors`` says what the last axis holds: an (n, dim) stack of vectors has the
+    shape of one (dim, dim) matrix when n = dim.
+    """
+    if vectors:
         return _rank_one(state, ds)
     chi = _pure_vector(state) if state.ndim == 2 else None
     return _dense(state, ds) if chi is None else _rank_one(chi, ds)
@@ -436,7 +461,7 @@ def _moment_order(n) -> int:
 
 
 def _power_sums(lam: np.ndarray, ns) -> dict[int, float]:
-    return {n: float((lam**n).sum()) for n in map(_moment_order, ns)}
+    return {n: _per_matrix((lam**n).sum(axis=-1)) for n in map(_moment_order, ns)}
 
 
 def von_neumann_entropy(rho) -> float:

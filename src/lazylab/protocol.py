@@ -2,13 +2,14 @@
 
 These are the batch experiments the CLI fronts. All of them derive
 per-trial generators from one seed, so results are reproducible and
-independent of evaluation order. Trials run in chunks. Within a chunk
-only the draws run trial by trial: each trial's generator draws its
-Gaussian numbers in a fixed order (bound_sweep also normalizes its
-Haar-pure vectors one by one). Everything after the draws runs once
-per chunk on the samples stacked into (n, dim, dim) arrays: the GUE and
-Ginibre arithmetic, the coupling decomposition, every per-sample check
-(its error names the failing trial) and the rates and norms.
+independent of evaluation order. Trials run in the chunks of
+laziness._chunks. Within a chunk only the draws run trial by trial: each
+trial's generator draws its Gaussian numbers in a fixed order
+(bound_sweep also normalizes its Haar-pure vectors one by one).
+Everything after the draws runs once per chunk on the samples stacked
+into (n, dim, dim) arrays: the GUE and Ginibre arithmetic, the coupling
+decomposition, every per-sample check (its error names the failing
+trial) and the rates and norms.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import numpy as np
 from . import linalg
 from .dynamics import decompose_hamiltonian, finite_difference_rate
 from .laziness import (
-    _check_h_int,
+    _chunks,
     _eigenbasis,
+    _evaluator,
+    _flow_rate,
     _mi_purity_bound,
     _operator_norm_hermitian,
     _rate_report,
     default_lazy_tolerance,
-    moment_rate,
 )
 from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
 from .states import (
@@ -38,11 +40,6 @@ from .states import (
     haar_random_pure,
     validate_density_matrix,
 )
-
-# Complex entries of one stacked (n, dim, dim) array (1 MiB): trials are
-# evaluated in chunks of n = _CHUNK_ENTRIES // dim**2, so memory stays
-# bounded however many samples are asked for.
-_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,14 +101,6 @@ def _unit_couplings(dim: int, ds: int, de: int, rngs) -> np.ndarray:
     return hs / nrm[:, None, None]
 
 
-def _trial_chunks(samples: int, dim: int) -> list[range]:
-    """Consecutive ranges of trials whose stacked arrays fit _CHUNK_ENTRIES."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    step = max(1, _CHUNK_ENTRIES // dim**2)
-    return [range(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
-
-
 @contextmanager
 def _naming_trials(trials):
     """Prefix the failing trial to an error from a stacked per-sample check.
@@ -147,13 +136,14 @@ def detect_discord(
     linalg._require_tolerance(threshold, "threshold")
     linalg._require_step(fd_step, "fd_step")
     rates = []
-    for trials in _trial_chunks(samples, rho.dim):
+    for trials in _chunks(samples, rho.dim):
         with _naming_trials(trials):
             hs = _unit_couplings(rho.dim, rho.ds, rho.de, [derive_rng(seed, t) for t in trials])
             if use_fd:
                 rates.extend(finite_difference_rate(rho, h, "moment", n=2, h=fd_step) for h in hs)
-            else:
-                rates.extend(moment_rate(rho, hs, 2).tolist())
+            else:  # the decomposed couplings are exactly Hermitian: no second check
+                ev = _evaluator(rho)
+                rates.extend(_flow_rate(ev, ev.flow(hs), 2).tolist())
     max_abs = max(abs(r) for r in rates)
     return ProtocolVerdict(
         samples=samples,
@@ -193,7 +183,7 @@ def sparsity_scan(
         lazy_tol = default_lazy_tolerance(ds, de)
     linalg._require_tolerance(lazy_tol, "lazy_tol")
     dim = ds * de
-    chunks = _trial_chunks(samples, dim)
+    chunks = _chunks(samples, dim)
     arr = np.empty(samples)
     for trials in chunks:
         rngs = [derive_rng(seed, trial) for trial in trials if include is None or trial > 0]
@@ -233,7 +223,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     """
     dim = ds * de
     rows = []
-    for trials in _trial_chunks(samples, dim):
+    for trials in _chunks(samples, dim):
         # each trial's generator draws its state first, then its coupling
         rngs = [derive_rng(seed, trial) for trial in trials]
         haar = np.array([trial % 2 == 1 and ds <= de for trial in trials])
@@ -243,7 +233,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
             chi = haar_random_pure(dim, rngs[k])
             mats[k] = np.outer(chi, chi.conj())
         with _naming_trials(trials):
-            hs = _check_h_int(_unit_couplings(dim, ds, de, rngs), ds, de)
+            hs = _unit_couplings(dim, ds, de, rngs)
             mats = validate_density_matrix(mats, name="bipartite state")
             ev = _eigenbasis(mats, ds)
             report = _rate_report(ev, hs, 1.0, ())

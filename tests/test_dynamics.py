@@ -25,6 +25,7 @@ from lazylab import (
     record_trajectory,
     von_neumann_entropy,
 )
+from lazylab.dynamics import TrajectoryRecord
 from lazylab.laziness import default_lazy_tolerance
 from lazylab.linalg import DENSITY_TOL
 
@@ -408,7 +409,13 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
     assert_allclose(traj.times, times, rtol=0, atol=0)
     if kind in LAZY_AT_START:
         assert traj.records[0].comm_trace_norm <= default_lazy_tolerance(ds, de)
-    for t, rec in zip(times, traj.records):
+    _assert_single_state_records(traj, rho0, h_tot, ns, regularize)
+
+
+def _assert_single_state_records(traj, rho0, h_tot, ns, regularize):
+    """Each record matches the single-state functions at its time to 1e-12."""
+    h_int = decompose_hamiltonian(h_tot, rho0.ds, rho0.de).h_int
+    for t, rec in zip(traj.times, traj.records):
         state = evolve_exact(rho0, h_tot, float(t))
         power_sums = moments(state.rho_s, (2, *ns))
         report = rate_bounds(state, h_int, ns, regularize=regularize)
@@ -428,6 +435,86 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
             assert abs(got[name] - want) <= 1e-12 * (1.0 + abs(want)), (t, name, got[name], want)
 
 
+def _per_step_records(rho0, h_tot, times, ns, regularize):
+    """The trajectory evaluated one step at a time, each step's evaluator built by
+    _eigenbasis from its own W rho_h W† or chi(t) = W V† chi."""
+    triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
+    spec = linalg.hermitian_eig(triple.reassemble())
+    v = spec.eigenvectors
+    h_norm = float(np.abs(np.linalg.eigvalsh(triple.h_int)).max())
+    ev0 = laziness._evaluator(rho0)
+    pure = isinstance(ev0, laziness._RankOne)
+    rho_h = linalg.dagger(v) @ ev0.chi if pure else linalg.dagger(v) @ rho0.matrix @ v
+    records = []
+    for t in times:
+        phase = np.exp(-1j * spec.eigenvalues * t)
+        if pure:
+            state = v @ (phase * rho_h)
+        else:
+            w = v * phase
+            mat = w @ rho_h @ linalg.dagger(w)
+            state = (mat + linalg.dagger(mat)) / 2
+        ev = laziness._eigenbasis(state, rho0.ds, vectors=pure)
+        report = laziness._rate_report(laziness._regularized(ev, regularize), triple.h_int, h_norm, ())
+        records.append(
+            TrajectoryRecord(
+                entropy=laziness._spectral_entropy(ev.lam),
+                purity=float((ev.lam**2).sum()),
+                moment_values={n: float((ev.lam**n).sum()) for n in ns},
+                comm_trace_norm=ev.comm_trace_norm,
+                entropy_rate=report.entropy_rate,
+                entropy_bound=report.entropy_bound,
+                purity_rate=report.purity_rate,
+                purity_bound=report.purity_bound,
+            )
+        )
+    return records
+
+
+def _rank_deficient_at(ds, de, tau, seed):
+    """H_tot and a full-rank mixed rho0 whose rho_S(tau) has rank 1: the state
+    |0><0| (x) I/de evolved back by tau."""
+    dim = ds * de
+    h_tot = random_hermitian(dim, seed)
+    sigma = np.zeros((dim, dim), dtype=complex)
+    sigma[:de, :de] = np.eye(de) / de
+    u = linalg.unitary_from_hamiltonian(h_tot, -tau)
+    mat = u @ sigma @ linalg.dagger(u)
+    return h_tot, BipartiteState(ds=ds, de=de, matrix=(mat + linalg.dagger(mat)) / 2)
+
+
+@pytest.mark.parametrize("regularize", [None, 1e-3])
+@pytest.mark.parametrize("kind", ["mixed", "pure", "near_pure"])
+def test_trajectory_chunks_match_per_step_evaluation(kind, regularize):
+    # 11 steps at 8x8 run in chunks of 4, 4 and 3 (2^14 / 64^2 = 4 steps each)
+    ds = de = 8
+    times = np.linspace(0.0, 1.0, 11)
+    assert [len(c) for c in laziness._chunks(times.size, ds * de)] == [4, 4, 3]
+    ns = (3,)
+    rho0 = TRAJECTORY_STATES[kind](ds, de, 61)
+    h_tot = random_hermitian(ds * de, 62)
+    traj = record_trajectory(rho0, h_tot, times, ns=ns, regularize=regularize)
+    _assert_single_state_records(traj, rho0, h_tot, ns, regularize)
+    # the stacked evaluators reproduce the per-step ones bit for bit
+    expected = _per_step_records(rho0, h_tot, times, ns, regularize)
+    assert [repr(rec) for rec in traj.records] == [repr(rec) for rec in expected]
+
+
+def test_trajectory_refusal_in_a_later_chunk_keeps_its_message():
+    # rho_S(t) is rank one at the fifth step, the first of the second chunk
+    ds = de = 8
+    times = np.linspace(0.0, 1.0, 11)
+    h_tot, rho0 = _rank_deficient_at(ds, de, times[4], 63)
+    with pytest.raises(RankDeficientStateError) as per_step:
+        _per_step_records(rho0, h_tot, times, (), None)
+    with pytest.raises(RankDeficientStateError, match="^rho_S has eigenvalue") as chunked:
+        record_trajectory(rho0, h_tot, times)
+    assert str(chunked.value) == str(per_step.value)
+    assert len(_per_step_records(rho0, h_tot, times[:4], (), None)) == 4
+    regularized = record_trajectory(rho0, h_tot, times, regularize=1e-3)
+    assert np.isfinite([rec.entropy_rate for rec in regularized.records]).all()
+
+
 @pytest.mark.parametrize(
     "make, per_step, regularize",
     [
@@ -441,28 +528,32 @@ def test_trajectory_factorizations_per_step(monkeypatch, make, per_step, regular
     # pure states take the rank-one path: no dim x dim eigensolve per step,
     # only the one-off ||H_int||; mixed ones need ||C||_1 and ||K||_1 per step.
     # The regularized rates add none: ||C_r||_1 = (1-d)^2 ||C||_1, and K_r is
-    # read from the same rotated state (closed form when pure)
+    # read from the same rotated state (closed form when pure). Matrices are
+    # counted per step, calls per chunk of two steps
     ds = de = 4
-    steps = 5
-    calls = []
+    steps, chunk = 5, 2
+    matrices, calls = [], []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        if np.shape(a)[-2:] == (ds * de, ds * de):
-            calls.append(np.shape(a))
+        shape = np.shape(a)
+        if shape[-2:] == (ds * de, ds * de):
+            matrices.append(int(np.prod(shape[:-2])))
         return eigvalsh(a, *args, **kwargs)
 
     rho0 = make(ds, de, 95)
     h_tot = random_hermitian(ds * de, 96)
+    monkeypatch.setattr(laziness, "_CHUNK_ENTRIES", chunk * (ds * de) ** 2)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     record_trajectory(rho0, h_tot, np.linspace(0.0, 0.4, steps), ns=(3,), regularize=regularize)
-    assert len(calls) == per_step * steps + 1
+    assert sum(matrices) == per_step * steps + 1
+    assert len(matrices) == (2 * -(-steps // chunk) if per_step else 0) + 1
 
 
 def test_pure_trajectory_forms_the_dense_state_only_to_regularize(monkeypatch):
     # the rank-one rates read chi(t) alone, and the regularized ones read the
-    # rank-one evaluator's, so no step forms |chi(t)><chi(t)|, regularized or not.
-    # rho0's own evaluator is built before the steps' are counted
+    # rank-one evaluator's, so no chunk forms |chi(t)><chi(t)|, regularized or not.
+    # rho0's own evaluator is built before the chunks' are counted
     made = []
     rank_one = laziness._rank_one
 
@@ -477,4 +568,5 @@ def test_pure_trajectory_forms_the_dense_state_only_to_regularize(monkeypatch):
     for regularize in (None, 1e-3):
         made.clear()
         record_trajectory(rho0, h_tot, np.linspace(0.0, 0.5, 4), regularize=regularize)
-        assert [("mat" in vars(ev)) for ev in made] == [False] * 4
+        assert not any("mat" in vars(ev) for ev in made)
+        assert sum(len(ev.chi) for ev in made) == 4

@@ -160,16 +160,19 @@ def test_bound_sweep_no_negative_slack():
 
 
 def test_bound_sweep_reads_each_chunk_from_one_evaluator(monkeypatch):
-    # a chunk of 16 trials at 8x8 costs one stacked eigh of rho_S and three stacked
+    # a chunk of trials at 8x8 costs one stacked eigh of rho_S and three stacked
     # 64 x 64 eigvalsh: normalizing the couplings, ||C||_1 and ||K||_1. ||H_int|| = 1
-    # by that normalization, and the pure rows' I = 2 S(rho_S) reads the same rho_S
-    calls = Counter()
+    # by that normalization, and the pure rows' I = 2 S(rho_S) reads the same rho_S.
+    # Matrices are counted per trial, calls per chunk
+    matrices, calls = Counter(), Counter()
 
     def counting(name):
         real = getattr(np.linalg, name)
 
         def call(a, *args, **kwargs):
-            calls[name, np.shape(a)] += 1
+            shape = np.shape(a)
+            matrices[name, shape[-2:]] += int(np.prod(shape[:-2]))
+            calls[name, shape[-2:]] += 1
             return real(a, *args, **kwargs)
 
         return call
@@ -177,8 +180,10 @@ def test_bound_sweep_reads_each_chunk_from_one_evaluator(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     rows = bound_sweep(8, 8, 64, seed=1)
+    chunks = len(laziness._chunks(64, 64))
     assert sum(row.pure for row in rows) == 32
-    assert calls == {("eigvalsh", (16, 64, 64)): 12, ("eigh", (16, 8, 8)): 4}
+    assert matrices == {("eigvalsh", (64, 64)): 3 * 64, ("eigh", (8, 8)): 64}
+    assert calls == {("eigvalsh", (64, 64)): 3 * chunks, ("eigh", (8, 8)): chunks}
 
 
 # ------------------------------------------------ stacked against per-sample
@@ -194,7 +199,7 @@ def _unit_coupling(ds, de, rng):
 
 def _small_chunks(monkeypatch, dim):
     # three trials per chunk, so the samples below span several chunks
-    monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", 3 * dim**2)
+    monkeypatch.setattr(laziness, "_CHUNK_ENTRIES", 3 * dim**2)
 
 
 @pytest.mark.parametrize("ds,de", [(2, 2), (2, 3), (3, 2), (4, 4)])
@@ -287,7 +292,7 @@ def test_samplers_keep_their_single_matrix_draws():
 def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
     dim, samples, seed = ds * de, 8, 60 + ds * de
     _small_chunks(monkeypatch, dim)
-    chunks = protocol._trial_chunks(samples, dim)
+    chunks = laziness._chunks(samples, dim)
     assert len(chunks) == 3
 
     state = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(dim, dim, seed))
@@ -305,7 +310,7 @@ def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
                 else _ginibre(dim, rank, derive_rng(seed, t))
                 for t in trials
             ]), ds).comm_trace_norm
-            for trials in protocol._trial_chunks(n, dim)
+            for trials in laziness._chunks(n, dim)
         ])
         summary = sparsity_scan(ds, de, n, rank=rank, seed=seed, include=include, bins=4)
         edges = np.linspace(0.0, norms.max() if norms.max() > 0 else 1.0, 5)
