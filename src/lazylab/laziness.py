@@ -349,8 +349,8 @@ class _RankOne(_Eigenbasis):
         return self.chi.shape[-1]
 
     @cached_property
-    def negativity(self) -> float:
-        return max(0.0, (float(np.sqrt(self.lam).sum()) ** 2 - 1.0) / 2.0)
+    def negativity(self):
+        return _per_matrix(np.maximum(0.0, (np.sqrt(self.lam).sum(axis=-1) ** 2 - 1.0) / 2.0))
 
     def interaction_trace(self, h: np.ndarray) -> np.ndarray:
         """X = tr_E(h |chi><chi|) = Phi M† with Phi = (h chi).reshape(ds, de); stacks

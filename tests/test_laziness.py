@@ -875,6 +875,25 @@ def test_regularized_evaluator_matches_the_formed_state(ds, de, kind, d):
     _assert_reports_close(*(_rate_report(ev, hs, h_norms, (1, 3, 4)) for ev in (derived, formed)))
 
 
+@pytest.mark.parametrize("ds, de", [(2, 2), (2, 3), (3, 2)])
+def test_stacked_rank_one_evaluator_matches_each_vector_bit_for_bit(ds, de):
+    # an (n, dim) stack is read as vectors because the caller says so, also at
+    # n = dim, where it has the shape of one density matrix
+    dim = ds * de
+    chis = np.stack([haar_random_pure(dim, derive_rng(70 + dim, k)) for k in range(dim)])
+    h = random_hermitian(dim, 71)
+    stacked = _eigenbasis(chis, ds, vectors=True)
+    assert isinstance(stacked, _RankOne)
+    names = ["lam", "u", "mat", "comm_trace_norm", "system_entropy", "environment_entropy",
+             "negativity"]
+    for k, chi in enumerate(chis):
+        one = _eigenbasis(chi, ds, vectors=True)
+        for name in names:
+            a, b = np.asarray(getattr(stacked, name)[k]), np.asarray(getattr(one, name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert stacked.flow(h)[k].tobytes() == one.flow(h).tobytes()
+
+
 def test_only_eigenbasis_picks_the_evaluator():
     # one function chooses between the rank-one and the dense evaluator: the pure
     # gate and both builders are named nowhere else in the package but on their
