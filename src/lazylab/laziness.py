@@ -18,7 +18,8 @@ reduced flow d rho_S/dt = -i (X - X†), X = tr_E(H_int rho_SE).
 Every public function reads one evaluator per BipartiteState, built on
 first use and kept on the (frozen) state as its rho_s is, so one answer
 factorizes rho_S once. Its three variants differ in where rho_SE (``mat``)
-comes from. _Dense holds the validated matrix. _RankOne holds a pure
+comes from. _Dense holds the validated matrix, exactly Hermitian, so the
+matrices derived from it are eigensolved unchecked. _RankOne holds a pure
 state's chi and forms |chi><chi| only when asked; its closed forms read
 the Schmidt weights: ||C||_F = ||C||_1 / sqrt(2), S(rho_E) = S(rho_S),
 S(rho_SE) = 0, tr rho_SE^2 = 1 and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
@@ -243,13 +244,12 @@ class _Eigenbasis:
     @cached_property
     def environment_entropy(self):
         ds = self.lam.shape[-1]
-        return von_neumann_entropy(
-            linalg.partial_trace(self.mat, ds, self.mat.shape[-1] // ds, keep="environment")
-        )
+        rho_e = linalg.partial_trace(self.mat, ds, self.mat.shape[-1] // ds, keep="environment")
+        return _spectral_entropy(np.linalg.eigvalsh(rho_e))
 
     @cached_property
     def total_entropy(self):
-        return von_neumann_entropy(self.mat)
+        return _spectral_entropy(np.linalg.eigvalsh(self.mat))
 
     @property
     def dim(self) -> int:
@@ -388,10 +388,8 @@ def _eigenbasis(state: np.ndarray, ds: int, *, vectors: bool = False) -> _Eigenb
 
 def _dense(mat: np.ndarray, ds: int) -> _Dense:
     """The dense evaluator of the state(s) ``mat``, through the eigh of rho_S."""
-    spec = linalg.hermitian_eig(
-        linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"), name="rho_S"
-    )
-    return _Dense(lam=spec.eigenvalues, u=spec.eigenvectors, mat=mat)
+    lam, u = np.linalg.eigh(linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"))
+    return _Dense(lam=lam, u=u, mat=mat)
 
 
 @dataclass(frozen=True)
@@ -695,7 +693,7 @@ def correlation_measures(rho: BipartiteState) -> CorrelationReport:
     neg = ev.negativity
 
     ent = disc = rob = None
-    if rho.is_pure():
+    if _is_pure(ev.purity):
         ent = disc = s_sys
         rob = 2.0 * neg
 

@@ -31,7 +31,7 @@ def derive_rng(seed, *path: int) -> np.random.Generator:
 
 
 def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity (up to -tol).
+    """Check Hermiticity, unit trace and positivity (up to -tol); return (rho + rho†)/2.
 
     Hermiticity is linalg.require_hermitian's verdict; ``tol`` bounds
     |tr rho - 1| and -lam_min, both absolute. Positivity is certified by
@@ -40,23 +40,25 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     eigenvalues are computed only when that fails, and they decide.
     Leading axes stack matrices, each checked on its own; an error names
     the first failing one and, for a stack, carries its position as
-    ``index``. ``tol`` must be finite and >= 0.
+    ``index``. ``tol`` must be finite and >= 0. Matrices derived from the
+    returned Hermitian part are Hermitian by construction, never checked again.
     """
     linalg._require_tolerance(tol, "tol")
-    mat = np.asarray(rho, dtype=complex)
-    shifted = linalg.require_hermitian(mat, name=name)
-    tr = mat.trace(axis1=-2, axis2=-1)
+    raw = np.asarray(rho, dtype=complex)
+    mat = linalg.require_hermitian(raw, name=name)
+    tr = raw.trace(axis1=-2, axis2=-1)
     linalg._raise_first(
         abs(tr - 1.0) > tol,
         ValueError,
         lambda i: f"{name} has trace {complex(tr[i]):.12g}, expected 1",
     )
     n = mat.shape[-1]
+    shifted = mat.copy()
     shifted.reshape(*mat.shape[:-2], n * n)[..., :: n + 1] += tol
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        lam_min = np.linalg.eigvalsh(linalg.require_hermitian(mat, name=name))[..., 0]
+        lam_min = np.linalg.eigvalsh(mat)[..., 0]
         linalg._raise_first(
             lam_min < -tol,
             ValueError,
@@ -75,7 +77,8 @@ class BipartiteState:
     """A density matrix on a system (x) environment tensor space.
 
     ``matrix`` is (ds*de) x (ds*de) with row index i_s * de + i_e.
-    Construction validates the density-matrix invariants.
+    Construction validates the density-matrix invariants and keeps the
+    matrix as its exact Hermitian part.
     """
 
     ds: int
@@ -331,10 +334,9 @@ def purify(rho, ancilla_basis: np.ndarray | None = None) -> tuple[np.ndarray, in
     columns) must be unitary: overlaps within NORM_TOL of delta_ij.
     """
     mat = validate_density_matrix(rho)
-    spec = linalg.hermitian_eig(mat, name="rho")
-    keep = spec.eigenvalues > SCHMIDT_CUTOFF
-    lams = spec.eigenvalues[keep][::-1]
-    vecs = spec.eigenvectors[:, keep][:, ::-1]
+    w, v = np.linalg.eigh(mat)
+    keep = w > SCHMIDT_CUTOFF
+    lams, vecs = w[keep][::-1], v[:, keep][:, ::-1]
     d = mat.shape[0]
     da = int(lams.size)
     if ancilla_basis is None:
@@ -375,10 +377,8 @@ def spectral_projection(rho, cluster_tol: float = CLUSTER_TOL) -> SpectralProjec
     and >= 0.
     """
     linalg._require_tolerance(cluster_tol, "cluster_tol")
-    mat = linalg.require_hermitian(rho, name="rho")
-    spec = linalg.hermitian_eig(mat)
-    w = spec.eigenvalues[::-1]
-    v = spec.eigenvectors[:, ::-1]
+    w, v = np.linalg.eigh(linalg.require_hermitian(rho, name="rho"))
+    w, v = w[::-1], v[:, ::-1]
     labels = _cluster_labels(w, cluster_tol * np.abs(w).max())
     clusters = [labels == k for k in range(labels[-1] + 1)]
     return SpectralProjection(

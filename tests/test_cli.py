@@ -4,7 +4,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from lazylab import haar_random_pure, laziness, random_hermitian, record_trajectory, statefile
+from lazylab import (
+    haar_random_pure,
+    laziness,
+    linalg,
+    random_hermitian,
+    record_trajectory,
+    statefile,
+)
 from lazylab.cli import main
 
 from .cli_runner import run_lazylab
@@ -535,3 +542,28 @@ def test_analyze_builds_each_dense_commutator_once(monkeypatch, capsys, args, ex
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["analyze", "product.json", "--json"], 1),
+        (["analyze", "product.json", "hamiltonian_2x2.json", "--json"], 4),
+        (["evolve", "bell.json", "hamiltonian_2x2.json", "--t-max", "1", "--steps", "5"], 3),
+    ],
+)
+def test_each_input_is_checked_hermitian_once(monkeypatch, capsys, args, expected):
+    # the state once, as it is built; a Hamiltonian once as the file's operator,
+    # once as the h_tot decompose_hamiltonian splits, and in analyze once as the
+    # h_int rate_bounds is given; nothing derived from them is checked again
+    calls = []
+    require_hermitian = linalg.require_hermitian
+
+    def counting(m, **kwargs):
+        calls.append(kwargs.get("name"))
+        return require_hermitian(m, **kwargs)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counting)
+    assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in args]) == 0
+    capsys.readouterr()
+    assert len(calls) == expected, calls

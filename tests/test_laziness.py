@@ -320,8 +320,15 @@ def test_lazy_states_of_every_projector_rank(blocks, de):
     negativities = []
     for seed in range(3):
         st = lazy_block_state(blocks, de, seed)
+        tol = default_lazy_tolerance(st.ds, de)
         assert laziness_commutator(st).lazy
-        assert pinching_residual(st) <= default_lazy_tolerance(st.ds, de)
+        assert pinching_residual(st) <= tol
+        # the witness predicts -||K||_F^2, and K is within the lazy tolerance
+        h_w, predicted = witness_hamiltonian(st)
+        assert predicted >= -(tol**2)
+        assert abs(entropy_rate(st, h_w)) <= tol**2
+        # among Ginibre draws only the included state is counted lazy
+        assert sparsity_scan(st.ds, de, 4, st.dim, seed, include=st).count_below_tol == 1
         h = np.stack([random_interaction(st.ds, de, derive_rng(6061, seed, k)) for k in range(4)])
         for rates in (
             moment_rate(st, h, 2),

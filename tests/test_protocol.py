@@ -19,6 +19,7 @@ from lazylab import (
     random_hermitian,
     rate_bounds,
     sparsity_scan,
+    validate_density_matrix,
     zero_discord_state,
 )
 from lazylab import decompose_hamiltonian, laziness, operator_norm, protocol
@@ -331,7 +332,8 @@ def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
             else:
                 mats.append(_ginibre(dim, dim, rng))
         hs = laziness._check_h_int(_reference_couplings(ds, de, rngs), ds, de)
-        ev = laziness._eigenbasis(np.stack(mats), ds)
+        # validated as bound_sweep validates them: their exact Hermitian part
+        ev = laziness._eigenbasis(validate_density_matrix(np.stack(mats), name="state"), ds)
         report = laziness._rate_report(ev, hs, 1.0, ())
         mi = laziness._mi_purity_bound(2.0 * ev.system_entropy, 1.0)
         for k, t in enumerate(trials):

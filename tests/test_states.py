@@ -8,6 +8,7 @@ from lazylab import (
     ginibre_mixed,
     haar_random_pure,
     haar_random_unitary,
+    laziness,
     laziness_commutator,
     linalg,
     maximally_entangled,
@@ -16,11 +17,14 @@ from lazylab import (
     pure_state,
     purify,
     random_hermitian,
+    rate_bounds,
     schmidt_decompose,
     spectral_projection,
     validate_density_matrix,
     zero_discord_state,
 )
+
+from .conftest import random_interaction
 
 
 def test_product_state_maximally_mixed():
@@ -324,6 +328,58 @@ def test_factory_outputs_pass_invariants():
         zero_discord_state(probs, basis, envs)
         n += 4
     assert n == 200
+
+
+def _off_hermitian(m: np.ndarray, seed: int) -> np.ndarray:
+    """m plus an anti-Hermitian, zero-diagonal part with ||m - m†||_F half the
+    Hermiticity tolerance, so m is accepted but is not its own Hermitian part."""
+    a = 1j * random_hermitian(m.shape[-1], seed)
+    a[np.diag_indices(m.shape[-1])] = 0.0
+    scale = 0.5 * linalg.HERMITICITY_RTOL * (1.0 + np.linalg.norm(m)) / np.linalg.norm(2.0 * a)
+    return m + scale * a
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_a_validated_state_is_kept_as_its_hermitian_part(pure):
+    # every matrix derived from a state is eigensolved unchecked, so the state
+    # itself must be exactly Hermitian, whatever roundoff it was accepted with
+    ds, de = 2, 3
+    dim = ds * de
+    if pure:
+        chi = haar_random_pure(dim, 41)
+        exact = np.outer(chi, chi.conj())
+    else:
+        exact = ginibre_mixed(dim, dim, 41)
+    m = _off_hermitian(exact, 42)
+    part = (m + m.conj().T) / 2.0
+    assert not np.array_equal(m, part)
+    st = BipartiteState(ds=ds, de=de, matrix=m)
+    ref = BipartiteState(ds=ds, de=de, matrix=part)
+    assert _same_bits(st.matrix, part) and _same_bits(ref.matrix, part)
+
+    got, want = laziness_commutator(st), laziness_commutator(ref)
+    for name in ("commutator", "trace_norm", "frobenius_norm", "lazy", "tolerance"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    h = random_interaction(ds, de, 43)
+    got, want = rate_bounds(st, h, ns=(3,)), rate_bounds(ref, h, ns=(3,))
+    for name in ("entropy_rate", "purity_rate", "entropy_bound", "purity_bound",
+                 "ln_commutator_trace_norm"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert _same_bits(got.moment_rates[3], want.moment_rates[3])
+    if pure:  # both read through the rank-one evaluator
+        assert isinstance(laziness._evaluator(st), laziness._RankOne)
+        assert _same_bits(got.mi_purity_bound, want.mi_purity_bound)
+    else:
+        assert got.mi_purity_bound is want.mi_purity_bound is None
+
+    # stacked, each matrix is kept as its own Hermitian part
+    stack = np.stack([m, _off_hermitian(ginibre_mixed(dim, 2, 44), 45), part])
+    assert _same_bits(validate_density_matrix(stack), (stack + stack.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def test_validate_density_matrix_rejects_bad_inputs():
