@@ -552,7 +552,7 @@ def test_analyze_builds_each_dense_commutator_once(monkeypatch, capsys, args, ex
         (["evolve", "bell.json", "hamiltonian_2x2.json", "--t-max", "1", "--steps", "5"], 3),
     ],
 )
-def test_each_input_is_checked_hermitian_once(monkeypatch, capsys, args, expected):
+def test_derived_matrices_are_not_checked_hermitian_again(monkeypatch, capsys, args, expected):
     # the state once, as it is built; a Hamiltonian once as the file's operator,
     # once as the h_tot decompose_hamiltonian splits, and in analyze once as the
     # h_int rate_bounds is given; nothing derived from them is checked again
