@@ -17,6 +17,12 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes: a bit-for-bit comparison of arrays or scalars."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_full_rank_state(ds, de, seed):
     return BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(ds * de, ds * de, seed))
 

@@ -25,7 +25,7 @@ from lazylab import (
 from lazylab import decompose_hamiltonian, laziness, operator_norm, protocol
 from lazylab.states import _draw
 
-from .conftest import random_interaction, schmidt_pure_vector
+from .conftest import _same_bits, random_interaction, schmidt_pure_vector
 
 
 def zero_discord_fixture():
@@ -275,11 +275,6 @@ def _ginibre(d, rank, rng):
 def _reference_couplings(ds, de, rngs):
     hs = np.stack([decompose_hamiltonian(_gue(ds * de, rng), ds, de).h_int for rng in rngs])
     return hs / np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)[:, None, None]
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_samplers_keep_their_single_matrix_draws():

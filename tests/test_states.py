@@ -24,7 +24,7 @@ from lazylab import (
     zero_discord_state,
 )
 
-from .conftest import random_interaction
+from .conftest import _same_bits, random_interaction
 
 
 def test_product_state_maximally_mixed():
@@ -337,11 +337,6 @@ def _off_hermitian(m: np.ndarray, seed: int) -> np.ndarray:
     a[np.diag_indices(m.shape[-1])] = 0.0
     scale = 0.5 * linalg.HERMITICITY_RTOL * (1.0 + np.linalg.norm(m)) / np.linalg.norm(2.0 * a)
     return m + scale * a
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("pure", [False, True])
