@@ -156,15 +156,6 @@ def finite_difference_rate(
     return (values[0] - values[1]) / (2.0 * h)
 
 
-def _conjugate(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """W rho W† (for each stacked W), symmetrized: Hermitian by construction, with no
-    further check."""
-    mat = w @ rho @ linalg.dagger(w)
-    mat += linalg.dagger(mat)
-    mat *= 0.5
-    return mat
-
-
 def record_trajectory(
     rho0: BipartiteState,
     h_tot,
@@ -180,19 +171,21 @@ def record_trajectory(
     H_tot = V diag(E) V† and rho_h = V† rho0 V formed once, each sample
     is rho(t) = W rho_h W† for W = V diag(exp(-i E t)); one factorization
     of its rho_S yields the reduced observables, the commutator norms and
-    every rate. The steps run in chunks of laziness._chunks (2^14 / dim^2
-    steps), each read from one evaluator of its stacked states, which
-    laziness._eigenbasis builds. A unitary step keeps rho0's purity, so rho0's
-    own evaluator decides the path: when it is rank-one, rho0 = |chi><chi|
-    evolves as the vectors chi(t) = W V† chi, stacked (n, dim), whose rank-one
-    evaluator never forms |chi(t)><chi(t)|, regularized or not; otherwise the
-    steps are the stacked (n, dim, dim) matrices W rho_h W†.
+    every rate. The steps run in chunks of laziness._chunks, each read from
+    one evaluator of its stacked states, which laziness._eigenbasis builds. A
+    unitary step keeps rho0's purity, so rho0's own evaluator decides the
+    path: when it is rank-one, rho0 = |chi><chi| evolves as the vectors
+    chi(t) = W V† chi, stacked (n, dim) in chunks of 2^14 / dim steps (256 at
+    dim 64), whose rank-one evaluator never forms |chi(t)><chi(t)|,
+    regularized or not; otherwise the steps are the stacked (n, dim, dim)
+    matrices W rho_h W†, in chunks of 2^14 / dim^2 steps (4 at dim 64).
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). What is
-    derived from them (the reassembled H_tot, each step's state) is
-    Hermitian by construction and is eigensolved unchecked. With
-    ``regularize`` the rates come from the regularized evaluator derived
+    derived from them is not checked again: the reassembled H_tot is
+    Hermitian by construction, and each step's W rho_h W† is Hermitian to
+    roundoff, its rho_S and rho' symmetrized where they are eigensolved.
+    With ``regularize`` the rates come from the regularized evaluator derived
     from each chunk's (W I W† = I), with no eigensolve of its own.
     """
     ts = np.asarray(times, dtype=float)
@@ -216,10 +209,13 @@ def record_trajectory(
         phases = np.exp(-1j * energies * t[:, None])
         if pure:  # chi(t) = W V† chi, one matrix-vector product per step
             return _eigenbasis((v @ (phases * rho_h)[..., None])[..., 0], rho0.ds, vectors=True)
-        return _eigenbasis(_conjugate(v * phases[:, None, :], rho_h), rho0.ds)
+        # W rho_h W† as it comes, Hermitian to roundoff: the dense evaluator
+        # symmetrizes the rho_S and rho' that its eigensolvers read
+        w = v * phases[:, None, :]
+        return _eigenbasis(w @ rho_h @ linalg.dagger(w), rho0.ds)
 
     records = []
-    for steps in _chunks(ts.size, rho0.dim):
+    for steps in _chunks(ts.size, rho0.dim if pure else rho0.dim**2):
         t = ts[steps.start : steps.stop]
         # built and read in one expression, so each chunk's arrays are freed
         # before the next chunk's are allocated

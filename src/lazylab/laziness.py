@@ -11,15 +11,18 @@ All of them are evaluated in the eigenbasis of rho_S = u diag(lam) u†,
 where [f(rho_S) (x) I, rho_SE] is the Hadamard product
 (f(lam_i) - f(lam_j)) rho'_{(ia),(jb)} with rho' = (u (x) I)† rho_SE (u (x) I)
 (the Daleckii-Krein form); f = x and ln give the commutators whose trace
-norms sum |eigvalsh(i C)| bound the rates. The rate of tr g(rho_S) is
+norms sum |eigvalsh(i C)| bound the rates, i C formed in one pass by the
+weights i (f(lam_i) - f(lam_j)). The rate of tr g(rho_S) is
 sum_i g'(lam_i) f_i over the diagonal f_i = (u† d rho_S/dt u)_ii of the
 reduced flow d rho_S/dt = -i (X - X†), X = tr_E(H_int rho_SE).
 
 Every public function reads one evaluator per BipartiteState, built on
 first use and kept on the (frozen) state as its rho_s is, so one answer
 factorizes rho_S once. Its three variants differ in where rho_SE (``mat``)
-comes from. _Dense holds the validated matrix, exactly Hermitian, so the
-matrices derived from it are eigensolved unchecked. _RankOne holds a pure
+comes from. _Dense holds a validated, exactly Hermitian matrix, or a
+trajectory step W rho_h W† Hermitian to roundoff; the rho_S and rho' that
+its eigensolvers read are symmetrized, so they are eigensolved unchecked
+(for a validated matrix rho_S is already exact). _RankOne holds a pure
 state's chi and forms |chi><chi| only when asked; its closed forms read
 the Schmidt weights: ||C||_F = ||C||_1 / sqrt(2), S(rho_E) = S(rho_S),
 S(rho_SE) = 0, tr rho_SE^2 = 1 and the negativity is ((sum_i sqrt lam_i)^2 - 1) / 2.
@@ -34,8 +37,9 @@ tr rho_r^2 = (1-d)^2 tr rho_SE^2 + (2d - d^2)/dim.
 
 The kernel also takes states stacked along leading axes: the Monte Carlo
 protocols evaluate their samples that way, and record_trajectory its time
-steps, both in chunks of _chunks. Every per-state check then runs on each
-state, and its error carries the failing state's ``index``.
+steps, both in chunks of _chunks, sized by the entries one sample stacks
+(dim^2 for a matrix, dim for a vector). Every per-state check then runs on
+each state, and its error carries the failing state's ``index``.
 """
 
 from __future__ import annotations
@@ -51,9 +55,10 @@ from .linalg import IMAG_TOL, LAZY_TOL_PER_DIM, PROJECTOR_TOL
 from .states import BipartiteState, SpectralProjection, _cluster_labels, _is_pure
 
 
-# Complex entries of one stacked (n, dim, dim) array (256 KiB): stacked states are
-# evaluated in chunks of n = _CHUNK_ENTRIES // dim**2, so memory stays bounded
-# however many samples or time steps are asked for.
+# Complex entries of one stacked array (256 KiB): stacked states are evaluated in
+# chunks of n = _CHUNK_ENTRIES // entries, entries = dim**2 for (n, dim, dim)
+# matrices and dim for (n, dim) vectors, so memory stays bounded however many
+# samples or time steps are asked for.
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -61,12 +66,13 @@ class RankDeficientStateError(ValueError):
     """rho_S has an eigenvalue too small for ln(rho_S) to be meaningful."""
 
 
-def _chunks(samples: int, dim: int) -> list[range]:
+def _chunks(samples: int, entries: int) -> list[range]:
     """Consecutive ranges of samples (trials, time steps) whose stacked arrays fit
-    _CHUNK_ENTRIES."""
+    _CHUNK_ENTRIES, each sample stacking ``entries`` complex entries (at least one
+    sample per chunk)."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    step = max(1, _CHUNK_ENTRIES // dim**2)
+    step = max(1, _CHUNK_ENTRIES // entries)
     return [range(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
 
 
@@ -197,26 +203,26 @@ class _Eigenbasis:
         blocks = self.rho.reshape(*self.rho.shape[:-2], ds, dim // ds, ds, dim // ds)
         return (w[..., :, None, :, None] * blocks).reshape(self.rho.shape)
 
-    def commutator(self, f_lam: np.ndarray) -> np.ndarray:
-        """[f(rho_S) (x) I, rho_SE] in this basis, given f at each lam."""
-        return self.weigh_blocks(f_lam[..., :, None] - f_lam[..., None, :])
+    def i_commutator(self, f_lam: np.ndarray) -> np.ndarray:
+        """i [f(rho_S) (x) I, rho_SE] in this basis, Hermitian, given f at each lam."""
+        return self.weigh_blocks(1j * (f_lam[..., :, None] - f_lam[..., None, :]))
 
     @cached_property
-    def comm(self) -> np.ndarray:
-        """C = [rho_S (x) I, rho_SE]; anti-Hermitian, zero iff lazy."""
-        return self.commutator(self.lam)
+    def i_comm(self) -> np.ndarray:
+        """i C with C = [rho_S (x) I, rho_SE]; Hermitian, zero iff lazy."""
+        return self.i_commutator(self.lam)
 
     def commutator_trace_norm(self, f_lam: np.ndarray):
         """||[f(rho_S) (x) I, rho_SE]||_1, given f at each lam."""
-        return _trace_norm_hermitian(1j * self.commutator(f_lam))
+        return _trace_norm_hermitian(self.i_commutator(f_lam))
 
     @cached_property
     def comm_trace_norm(self):
-        return _trace_norm_hermitian(1j * self.comm)
+        return _trace_norm_hermitian(self.i_comm)
 
     @cached_property
     def comm_frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.comm))
+        return float(np.linalg.norm(self.i_comm))
 
     @cached_property
     def ln_comm_trace_norm(self):
@@ -387,8 +393,10 @@ def _eigenbasis(state: np.ndarray, ds: int, *, vectors: bool = False) -> _Eigenb
 
 
 def _dense(mat: np.ndarray, ds: int) -> _Dense:
-    """The dense evaluator of the state(s) ``mat``, through the eigh of rho_S."""
-    lam, u = np.linalg.eigh(linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system"))
+    """The dense evaluator of the state(s) ``mat``, through the eigh of rho_S, whose
+    Hermitian part eigh reads (rho_S itself when mat is exactly Hermitian)."""
+    rho_s = linalg.partial_trace(mat, ds, mat.shape[-1] // ds, keep="system")
+    lam, u = np.linalg.eigh(0.5 * (rho_s + linalg.dagger(rho_s)))
     return _Dense(lam=lam, u=u, mat=mat)
 
 
@@ -498,7 +506,7 @@ def laziness_commutator(rho: BipartiteState, tol: float | None = None) -> Commut
     """[rho_S (x) I, rho_SE] with trace norm and lazy verdict."""
     norms = _commutator_norms(rho, tol)
     ev = _evaluator(rho)
-    return CommutatorReport(commutator=ev.unrotate(ev.comm), **norms)
+    return CommutatorReport(commutator=ev.unrotate(-1j * ev.i_comm), **norms)
 
 
 def spectral_pinch(rho: BipartiteState, proj: SpectralProjection) -> BipartiteState:
@@ -668,10 +676,10 @@ def witness_hamiltonian(
     witness and prediction refer to the regularized state.
     """
     basis = _regularized(_evaluator(rho), regularize)
-    k = basis.commutator(basis.ln_lam)
-    h_int = basis.unrotate(1j * k)
+    ik = basis.i_commutator(basis.ln_lam)
+    h_int = basis.unrotate(ik)
     h_int = (h_int + linalg.dagger(h_int)) / 2
-    predicted = -float(np.linalg.norm(k) ** 2)
+    predicted = -float(np.linalg.norm(ik) ** 2)
     return h_int, predicted
 
 

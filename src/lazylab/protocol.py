@@ -136,7 +136,7 @@ def detect_discord(
     linalg._require_tolerance(threshold, "threshold")
     linalg._require_step(fd_step, "fd_step")
     rates = []
-    for trials in _chunks(samples, rho.dim):
+    for trials in _chunks(samples, rho.dim**2):
         with _naming_trials(trials):
             hs = _unit_couplings(rho.dim, rho.ds, rho.de, [derive_rng(seed, t) for t in trials])
             if use_fd:
@@ -183,7 +183,7 @@ def sparsity_scan(
         lazy_tol = default_lazy_tolerance(ds, de)
     linalg._require_tolerance(lazy_tol, "lazy_tol")
     dim = ds * de
-    chunks = _chunks(samples, dim)
+    chunks = _chunks(samples, dim**2)
     arr = np.empty(samples)
     for trials in chunks:
         rngs = [derive_rng(seed, trial) for trial in trials if include is None or trial > 0]
@@ -223,7 +223,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     """
     dim = ds * de
     rows = []
-    for trials in _chunks(samples, dim):
+    for trials in _chunks(samples, dim**2):
         # each trial's generator draws its state first, then its coupling
         rngs = [derive_rng(seed, trial) for trial in trials]
         haar = np.array([trial % 2 == 1 and ds <= de for trial in trials])

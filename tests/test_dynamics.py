@@ -450,10 +450,9 @@ def _per_step_records(rho0, h_tot, times, ns, regularize):
         phase = np.exp(-1j * spec.eigenvalues * t)
         if pure:
             state = v @ (phase * rho_h)
-        else:
+        else:  # W rho_h W† as it is; the dense evaluator symmetrizes its rho_S
             w = v * phase
-            mat = w @ rho_h @ linalg.dagger(w)
-            state = (mat + linalg.dagger(mat)) / 2
+            state = w @ rho_h @ linalg.dagger(w)
         ev = laziness._eigenbasis(state, rho0.ds, vectors=pure)
         report = laziness._rate_report(laziness._regularized(ev, regularize), triple.h_int, h_norm, ())
         records.append(
@@ -485,11 +484,15 @@ def _rank_deficient_at(ds, de, tau, seed):
 
 @pytest.mark.parametrize("regularize", [None, 1e-3])
 @pytest.mark.parametrize("kind", ["mixed", "pure", "near_pure"])
-def test_trajectory_chunks_match_per_step_evaluation(kind, regularize):
-    # 11 steps at 8x8 run in chunks of 4, 4 and 3 (2^14 / 64^2 = 4 steps each)
+def test_trajectory_chunks_match_per_step_evaluation(monkeypatch, kind, regularize):
+    # 11 steps at 8x8 run in chunks of 4, 4 and 3: 2^14 / 64^2 = 4 mixed steps each,
+    # and 4 pure ones of 64 entries under a bound shrunk to 4 * 64 entries
     ds = de = 8
+    entries = ds * de if kind == "pure" else (ds * de) ** 2
+    if kind == "pure":
+        monkeypatch.setattr(laziness, "_CHUNK_ENTRIES", 4 * ds * de)
     times = np.linspace(0.0, 1.0, 11)
-    assert [len(c) for c in laziness._chunks(times.size, ds * de)] == [4, 4, 3]
+    assert [len(c) for c in laziness._chunks(times.size, entries)] == [4, 4, 3]
     ns = (3,)
     rho0 = TRAJECTORY_STATES[kind](ds, de, 61)
     h_tot = random_hermitian(ds * de, 62)
@@ -570,3 +573,60 @@ def test_pure_trajectory_forms_the_dense_state_only_to_regularize(monkeypatch):
         record_trajectory(rho0, h_tot, np.linspace(0.0, 0.5, 4), regularize=regularize)
         assert not any("mat" in vars(ev) for ev in made)
         assert sum(len(ev.chi) for ev in made) == 4
+
+
+def test_pure_trajectory_runs_256_steps_per_chunk(monkeypatch):
+    # a pure chunk stacks (n, 64) vectors, so the 2^14-entry bound holds 256 steps
+    # at 8x8, where (n, 64, 64) matrices would hold 4. rho0's own evaluator is
+    # built before the chunks' are counted
+    made = []
+    rank_one = laziness._rank_one
+
+    def keeping(*args):
+        made.append(rank_one(*args))
+        return made[-1]
+
+    rho0 = random_pure_bipartite(8, 8, 43)
+    assert isinstance(laziness._evaluator(rho0), laziness._RankOne)
+    monkeypatch.setattr(laziness, "_rank_one", keeping)
+    record_trajectory(rho0, random_hermitian(64, 44), np.linspace(0.0, 3.0, 300))
+    assert [len(ev.chi) for ev in made] == [256, 44]
+
+
+def test_no_stacked_array_exceeds_the_chunk_bound(monkeypatch):
+    # every state stack handed to _eigenbasis, and every coupling stack to the
+    # decomposition, holds at most _CHUNK_ENTRIES complex entries, and the
+    # largest fills the bound: 4 mixed 8x8 states or 256 pure ones
+    from lazylab import dynamics, protocol
+
+    sizes = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def call(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module in (laziness, dynamics, protocol):
+        recording(module, "_eigenbasis")
+    recording(protocol, "decompose_hamiltonian")
+
+    pure, mixed = random_pure_bipartite(8, 8, 45), random_full_rank_state(8, 8, 46)
+    h_tot = random_hermitian(64, 47)
+    long, short = np.linspace(0.0, 3.0, 300), np.linspace(0.0, 1.0, 6)
+    runs = {
+        "pure trajectory": lambda: record_trajectory(pure, h_tot, long),
+        "regularized pure trajectory": lambda: record_trajectory(pure, h_tot, long, regularize=1e-3),
+        "mixed trajectory": lambda: record_trajectory(mixed, h_tot, short),
+        "regularized mixed trajectory": lambda: record_trajectory(mixed, h_tot, short, regularize=1e-3),
+        "sparsity_scan": lambda: protocol.sparsity_scan(8, 8, 6, rank=64, seed=48),
+        "detect_discord": lambda: protocol.detect_discord(mixed, 6, 49),
+        "bound_sweep": lambda: protocol.bound_sweep(8, 8, 6, seed=50),
+    }
+    for name, run in runs.items():
+        sizes.clear()
+        run()
+        assert max(sizes) == laziness._CHUNK_ENTRIES, (name, sizes)

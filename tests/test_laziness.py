@@ -341,6 +341,29 @@ def test_lazy_states_of_every_projector_rank(blocks, de):
     assert max(negativities) > 0.0
 
 
+@pytest.mark.parametrize("de", [2, 3])
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 2), (1, 3), (1, 1, 2), (2, 2, 2), (3, 5)])
+def test_lazy_states_perturbed_across_two_blocks(blocks, de):
+    # (1-eps) rho + eps |psi><psi| with psi = (u_min + u_max)/sqrt(2) (x) e_0 couples the
+    # blocks of rho_S's smallest and largest eigenvalues. C is 0 at eps = 0, so
+    # ||C||_1 grows linearly in eps, and the state is no longer lazy or pinching-invariant
+    for seed in range(3):
+        st = lazy_block_state(blocks, de, seed)
+        lam, u = np.linalg.eigh(st.rho_s)
+        assert lam[-1] - lam[0] > 1e-3  # two different blocks
+        psi = np.kron((u[:, 0] + u[:, -1]) / np.sqrt(2.0), np.eye(de)[0])
+        slopes = []
+        for eps in (1e-4, 1e-5, 1e-6):
+            mat = (1.0 - eps) * st.matrix + eps * np.outer(psi, psi.conj())
+            perturbed = BipartiteState(ds=st.ds, de=de, matrix=mat)
+            report = laziness_commutator(perturbed)
+            slopes.append(report.trace_norm / eps)
+            if eps == 1e-4:
+                assert not report.lazy
+                assert pinching_residual(perturbed) > default_lazy_tolerance(st.ds, de)
+        assert max(abs(a - slopes[-1]) for a in slopes) <= 1e-3 * slopes[-1], slopes
+
+
 def test_entropy_rate_maxent_any_hamiltonian():
     st = maximally_entangled(3)
     h_int = random_interaction(3, 3, 5)

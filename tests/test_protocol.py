@@ -181,7 +181,7 @@ def test_bound_sweep_reads_each_chunk_from_one_evaluator(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     rows = bound_sweep(8, 8, 64, seed=1)
-    chunks = len(laziness._chunks(64, 64))
+    chunks = len(laziness._chunks(64, 64**2))
     assert sum(row.pure for row in rows) == 32
     assert matrices == {("eigvalsh", (64, 64)): 3 * 64, ("eigh", (8, 8)): 64}
     assert calls == {("eigvalsh", (64, 64)): 3 * chunks, ("eigh", (8, 8)): chunks}
@@ -288,7 +288,7 @@ def test_samplers_keep_their_single_matrix_draws():
 def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
     dim, samples, seed = ds * de, 8, 60 + ds * de
     _small_chunks(monkeypatch, dim)
-    chunks = laziness._chunks(samples, dim)
+    chunks = laziness._chunks(samples, dim**2)
     assert len(chunks) == 3
 
     state = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(dim, dim, seed))
@@ -306,7 +306,7 @@ def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
                 else _ginibre(dim, rank, derive_rng(seed, t))
                 for t in trials
             ]), ds).comm_trace_norm
-            for trials in laziness._chunks(n, dim)
+            for trials in laziness._chunks(n, dim**2)
         ])
         summary = sparsity_scan(ds, de, n, rank=rank, seed=seed, include=include, bins=4)
         edges = np.linspace(0.0, norms.max() if norms.max() > 0 else 1.0, 5)
