@@ -19,14 +19,14 @@ import sys
 import numpy as np
 
 from . import statefile
-from .dynamics import TrajectoryRecord, decompose_hamiltonian, record_trajectory
+from .dynamics import TrajectoryRecord, _decompose, _record_trajectory
 from .laziness import (
     RankDeficientStateError,
     _commutator_norms,
     _moment_order,
+    _rate_bounds,
     _require_weight,
     correlation_measures,
-    rate_bounds,
 )
 from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
 from .protocol import SweepRow, bound_sweep, detect_discord, sparsity_scan
@@ -48,11 +48,11 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to stdout, or over the file out_path names, as statefile.save writes."""
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        statefile._write_text(out_path, text)
 
 
 def _fields_text(report, *names: str) -> str:
@@ -151,9 +151,9 @@ def cmd_analyze(args) -> str:
         "correlations": dataclasses.asdict(correlation_measures(state)),
     }
     if args.hamiltonian is not None:
+        # checked as the file is read, and not again as the h_tot split or the h_int rated
         h_tot = statefile.load_hamiltonian(args.hamiltonian)
-        triple = decompose_hamiltonian(h_tot, state.ds, state.de)
-        report = rate_bounds(state, triple.h_int, ns=ns, regularize=args.regularize)
+        report = _rate_bounds(state, _decompose(h_tot, state.ds, state.de).h_int, ns, args.regularize)
         payload["rates"] = dataclasses.asdict(report)
         # string keys so that json and _flatten both order "10" before "3"
         payload["rates"]["moment_rates"] = {str(n): v for n, v in report.moment_rates.items()}
@@ -178,7 +178,7 @@ def cmd_evolve(args) -> str:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     ns = _parse_moments(args.moments)
     times = np.linspace(0.0, args.t_max, args.steps)
-    traj = record_trajectory(state, h_tot, times, ns=ns, regularize=args.regularize)
+    traj = _record_trajectory(state, h_tot, times, ns, args.regularize, _decompose)
 
     # columns follow TrajectoryRecord's field order, moment values last
     cols = [f.name for f in dataclasses.fields(TrajectoryRecord) if f.name != "moment_values"]

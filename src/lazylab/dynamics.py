@@ -90,9 +90,14 @@ def decompose_hamiltonian(h_tot, ds: int, de: int) -> HamiltonianTriple:
     of the triple then carries them; for a stack, the Hermiticity error
     carries the failing Hamiltonian's ``index``.
     """
-    h = linalg._require_dims(linalg.require_hermitian(h_tot, name="h_tot"), ds, de, "h_tot")
+    return _decompose(linalg.require_hermitian(h_tot, name="h_tot"), ds, de)
+
+
+def _decompose(h: np.ndarray, ds: int, de: int) -> HamiltonianTriple:
+    """decompose_hamiltonian of an h_tot checked Hermitian already, which it overwrites."""
+    h = linalg._require_dims(h, ds, de, "h_tot")
     lead = h.shape[:-2]
-    t = h.reshape(*lead, ds, de, ds, de)  # a view of the fresh h, written after the partial traces
+    t = h.reshape(*lead, ds, de, ds, de)  # a view of h, written after the partial traces
     dim = ds * de
     a = linalg.partial_trace(h, ds, de, keep="system") / de
     b = linalg.partial_trace(h, ds, de, keep="environment") / ds
@@ -188,6 +193,11 @@ def record_trajectory(
     With ``regularize`` the rates come from the regularized evaluator derived
     from each chunk's (W I W† = I), with no eigensolve of its own.
     """
+    return _record_trajectory(rho0, h_tot, times, ns, regularize, decompose_hamiltonian)
+
+
+def _record_trajectory(rho0, h_tot, times, ns, regularize, split) -> Trajectory:
+    """record_trajectory with H_tot split by ``split``: _decompose for a checked H_tot."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
@@ -196,7 +206,7 @@ def record_trajectory(
     if np.any(np.diff(ts) < 0):
         raise ValueError("times must be sorted ascending")
 
-    triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
+    triple = split(h_tot, rho0.ds, rho0.de)
     energies, v = np.linalg.eigh(triple.reassemble())
     h_norm = _operator_norm_hermitian(triple.h_int)
     vd = linalg.dagger(v)

@@ -650,13 +650,15 @@ def rate_bounds(
     field describes the regularized state, so mi_purity_bound is None
     unless that state is still pure by is_pure.
     """
-    h = _check_h_int(h_int, rho.ds, rho.de)
+    return _rate_bounds(rho, _check_h_int(h_int, rho.ds, rho.de), ns, regularize)
+
+
+def _rate_bounds(rho: BipartiteState, h: np.ndarray, ns, regularize) -> RateReport:
+    """rate_bounds for an h_int checked already, as a checked H_tot's split is."""
     h_norm = _operator_norm_hermitian(h)
     ev = _regularized(_evaluator(rho), regularize)
-    report = _rate_report(ev, h, h_norm, ns)
-    if not _is_pure(ev.purity):
-        return report
-    return replace(report, mi_purity_bound=_mi_purity_bound(ev.mutual_information, h_norm))
+    mi = _mi_purity_bound(ev.mutual_information, h_norm) if _is_pure(ev.purity) else None
+    return replace(_rate_report(ev, h, h_norm, ns), mi_purity_bound=mi)
 
 
 def _mi_purity_bound(mi, h_norm):
@@ -697,23 +699,16 @@ def correlation_measures(rho: BipartiteState) -> CorrelationReport:
     twice the negativity, which is how it is evaluated.
     """
     ev = _evaluator(rho)
-    s_sys = ev.system_entropy
-    neg = ev.negativity
-
-    ent = disc = rob = None
-    if _is_pure(ev.purity):
-        ent = disc = s_sys
-        rob = 2.0 * neg
-
+    pure = _is_pure(ev.purity)
     return CorrelationReport(
         mutual_information=ev.mutual_information,
-        negativity=neg,
-        system_entropy=s_sys,
+        negativity=ev.negativity,
+        system_entropy=ev.system_entropy,
         environment_entropy=ev.environment_entropy,
         total_entropy=ev.total_entropy,
-        entanglement_entropy=ent,
-        pure_discord=disc,
-        robustness_pure=rob,
+        entanglement_entropy=ev.system_entropy if pure else None,
+        pure_discord=ev.system_entropy if pure else None,
+        robustness_pure=2.0 * ev.negativity if pure else None,
     )
 
 

@@ -34,6 +34,8 @@ finite, and the keys, dims and kind hold no null.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from itertools import chain
 
@@ -201,9 +203,18 @@ def _checked(dims, kind, flat: np.ndarray) -> StateFile:
     return StateFile(ds=ds, de=de, kind=kind, data=data)
 
 
+def _write_text(path, text: str) -> None:
+    """open(path, "w").write(text), but over the file in place: truncating on open frees
+    its blocks before the text is written back, so a regular file is cut after it instead."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a pipe or a device
+            fh.truncate()
+
+
 def save(path, sf: StateFile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(sf))
+    """Write dumps(sf) over the file at path in place, as _write_text does."""
+    _write_text(path, dumps(sf))
 
 
 def load(path) -> StateFile:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -456,6 +457,41 @@ def test_every_subcommand_writes_out_or_fails_cleanly(command, tmp_path, capsys)
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_overwrites_a_longer_file_in_place(command, tmp_path, capsys):
+    argv = OUT_COMMANDS[command]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "x.out"
+    out.write_bytes(b"#" * (len(stdout) + 4096))
+    inode = out.stat().st_ino
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout
+    assert out.stat().st_ino == inode
+
+
+def test_out_to_a_device_or_a_pipe_is_not_cut(capsys):
+    # neither can be truncated; a pipe is the child's stdout here
+    assert main(["gen", "bell", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    proc = run_cli("gen", "bell", "--out", "/dev/stdout")
+    assert proc.stdout == (GOLDEN / "bell.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_a_non_hermitian_hamiltonian_file_is_refused_as_it_is_read(command, tmp_path, capsys):
+    path = tmp_path / "h.json"
+    statefile.save(path, statefile.from_hermitian(np.triu(np.ones((4, 4), dtype=complex)), 2, 2))
+    argv = OUT_COMMANDS[command].copy()
+    argv[2] = str(path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: invalid Hamiltonian payload: hamiltonian is not Hermitian: "
+        "||m - m\u2020||_F = 3.464e+00 exceeds tolerance\n",
+    )
+
+
 def test_main_can_be_reused_in_process(tmp_path, capsys):
     # one parser serves every call; nothing a call parses carries over to the next
     h = str(GOLDEN / "hamiltonian_2x2.json")
@@ -548,14 +584,13 @@ def test_analyze_builds_each_dense_commutator_once(monkeypatch, capsys, args, ex
     "args, expected",
     [
         (["analyze", "product.json", "--json"], 1),
-        (["analyze", "product.json", "hamiltonian_2x2.json", "--json"], 4),
-        (["evolve", "bell.json", "hamiltonian_2x2.json", "--t-max", "1", "--steps", "5"], 3),
+        (["analyze", "product.json", "hamiltonian_2x2.json", "--json"], 2),
+        (["evolve", "bell.json", "hamiltonian_2x2.json", "--t-max", "1", "--steps", "5"], 2),
     ],
 )
 def test_derived_matrices_are_not_checked_hermitian_again(monkeypatch, capsys, args, expected):
-    # the state once, as it is built; a Hamiltonian once as the file's operator,
-    # once as the h_tot decompose_hamiltonian splits, and in analyze once as the
-    # h_int rate_bounds is given; nothing derived from them is checked again
+    # the state once, as it is built, and a Hamiltonian file once, as it is read;
+    # neither its split nor the h_int rated from it is checked again
     calls = []
     require_hermitian = linalg.require_hermitian
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -40,6 +41,62 @@ def test_hermitian_round_trip(tmp_path):
     path = tmp_path / "h.json"
     statefile.save(path, statefile.from_hermitian(h, 2, 3))
     assert_allclose(statefile.load_hamiltonian(path), h, atol=1e-12)
+
+
+BELL = statefile.dumps(statefile.from_bipartite(maximally_entangled(2)))
+
+
+
+def _save_bell(path):
+    statefile.save(path, statefile.loads(BELL))
+
+
+def _out_bell(path):
+    assert cli.main(["gen", "bell", "--out", str(path)]) == 0
+
+
+# each writes BELL's text to a path
+WRITERS = {"save": _save_bell, "out": _out_bell}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_overwrite_a_longer_file_with_exactly_the_new_bytes(writer, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(statefile.dumps(statefile.from_bipartite(maximally_entangled(3))))
+    WRITERS[writer](path)
+    assert path.read_text() == BELL
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_follow_a_symlink_and_keep_the_mode(writer, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("#" * 4096)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    WRITERS[writer](link)
+    assert link.is_symlink()
+    assert target.read_text() == BELL
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_open_without_truncating(writer, tmp_path, monkeypatch):
+    # truncating on open frees the file's blocks before the same bytes go back
+    path = tmp_path / "x.json"
+    path.write_text(BELL)
+    flags = []
+    os_open = os.open
+
+    def recording(file, flag, *args, **kwargs):
+        if os.fspath(file) == os.fspath(path):
+            flags.append(flag)
+        return os_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    WRITERS[writer](path)
+    assert path.read_text() == BELL
+    assert len(flags) == 1
+    assert not flags[0] & os.O_TRUNC
 
 
 def test_canonical_serialization_is_idempotent():
