@@ -130,14 +130,9 @@ class SchmidtDecomposition:
         return self.coefficients**2
 
     def reconstruct(self) -> np.ndarray:
-        ds = self.left_vectors.shape[0]
-        de = self.right_vectors.shape[0]
-        chi = np.zeros(ds * de, dtype=complex)
-        for k in range(self.rank):
-            chi += self.coefficients[k] * np.kron(
-                self.left_vectors[:, k], self.right_vectors[:, k]
-            )
-        return chi
+        terms = zip(self.coefficients[: self.rank], self.left_vectors.T, self.right_vectors.T)
+        chi = np.zeros(self.left_vectors.shape[0] * self.right_vectors.shape[0], dtype=complex)
+        return sum((c * np.kron(u, v) for c, u, v in terms), chi)
 
 
 @dataclass(frozen=True)
@@ -154,10 +149,7 @@ class SpectralProjection:
     multiplicities: tuple[int, ...]
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for val, proj in zip(self.values, self.projectors):
-            out = out + val * proj
-        return out
+        return sum(val * proj for val, proj in zip(self.values, self.projectors))
 
 
 def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
@@ -173,9 +165,17 @@ def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
 
 
 def pure_state(chi, ds: int, de: int) -> BipartiteState:
-    """|chi><chi| as a BipartiteState for a unit vector chi."""
-    vec = _unit_vector(chi, ds, de)
-    return BipartiteState(ds=ds, de=de, matrix=np.outer(vec, vec.conj()))
+    """|chi><chi| as a BipartiteState, chi checked as a vector only: finite, of length
+    ds*de and with |<chi|chi> - 1| <= NORM_TOL. |chi><chi| is then a product of accepted
+    factors, kept as _composite keeps one, and the state keeps chi's own evaluator."""
+    from .laziness import _eigenbasis  # laziness imports this module
+    vec = _unit_vector(chi, ds, de).copy()
+    if ds < 1 or de < 1:
+        raise ValueError("subsystem dimensions must be positive")
+    state = object.__new__(BipartiteState)  # without __post_init__'s dim x dim checks
+    vars(state).update(ds=ds, de=de, matrix=_composite(np.outer(vec, vec.conj())))
+    vars(state)["_evaluator"] = _eigenbasis(vec, ds, vectors=True)
+    return state
 
 
 def _composite(mat: np.ndarray) -> np.ndarray:

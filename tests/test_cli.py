@@ -135,6 +135,16 @@ def test_analyze_parse_failure_exit_2(tmp_path):
         assert b"Traceback" not in proc.stderr
 
 
+def test_analyze_refuses_a_file_that_is_not_utf8_with_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+    proc = run_cli("analyze", str(bad), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith(f"error: cannot read {bad}:")
+
+
 def test_analyze_rank_deficiency_exit_3(tmp_path):
     # pure product state: rho_S is rank one, ln(rho_S) undefined
     chi = np.zeros(4, dtype=complex)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -106,21 +107,54 @@ def test_loads_rejects_malformed_json():
         statefile.loads("{not json")
 
 
+PAIRS = "data must be a list of [re, im] pairs"
+NUMBERS = "data entries must be JSON numbers"
+# 15 valid pairs ahead of a malformed last one: the refusal does not depend on where it is
+MANY = ",".join(["[1.0,0.0]"] * 15)
+
+
+def _density_2x2(data: str) -> str:
+    return '{"dims":[2,2],"kind":"density","data":' + data + "}"
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        '{"kind": "density", "data": []}',
-        '{"dims": [2], "kind": "density", "data": []}',
-        '{"dims": [2, 0], "kind": "density", "data": []}',
-        '{"dims": [2, 2], "kind": "wavefn", "data": []}',
-        '{"dims": [2, 2], "kind": "density", "data": [[1.0]]}',
-        '{"dims": [2, 2], "kind": "density", "data": 7}',
-        '[1, 2]',
+        ('{"kind": "density", "data": []}', "missing required key 'dims'"),
+        ('{"dims": [2], "kind": "density", "data": []}', "dims must be two positive integers, got [2]"),
+        ('{"dims": [2, 0], "kind": "density", "data": []}', "dims must be two positive integers, got [2, 0]"),
+        (
+            '{"dims": [2, 2], "kind": "wavefn", "data": []}',
+            "kind must be one of ('density', 'purevector', 'hermitian'), got 'wavefn'",
+        ),
+        ('{"dims": [2, 2], "kind": "density", "data": [[1.0]]}', PAIRS),
+        ('{"dims": [2, 2], "kind": "density", "data": 7}', PAIRS),
+        ("[1, 2]", "top-level JSON value must be an object"),
+        # each malformed shape of data keeps its one message
+        (_density_2x2('["ab"]'), PAIRS),  # a 2-character string in place of a pair
+        (_density_2x2('[{"re":1,"im":0}]'), PAIRS),  # a 2-key object in place of a pair
+        (_density_2x2("[1.0]"), PAIRS),
+        (_density_2x2("[null]"), PAIRS),
+        (_density_2x2("[[1.0,0.0],[1.0,0.0,0.0]]"), PAIRS),  # pairs of unequal length
+        (_density_2x2("[[1.0,0.0,0.0],[1.0,0.0,0.0]]"), PAIRS),  # every pair of length 3
+        (_density_2x2("[[],[]]"), PAIRS),
+        (_density_2x2("[]"), "density needs 16 entries for dims [2, 2], got 0"),
+        (_density_2x2('{"a":[1.0,0.0],"b":[0.0,0.0]}'), PAIRS),
+        (_density_2x2('"ab"'), PAIRS),
+        (_density_2x2(f'[{MANY},"ab"]'), PAIRS),
+        (_density_2x2(f'[{MANY},{{"re":1,"im":0}}]'), PAIRS),
+        (_density_2x2(f"[{MANY},null]"), PAIRS),
+        (_density_2x2(f"[{MANY},[0.0,0.0,0.0]]"), PAIRS),
+        # a pair that is not a pair outranks an entry that is not a number
+        (_density_2x2(f'[["x",0.0],{MANY},"ab"]'), PAIRS),
+        (_density_2x2(f"[[true,0.0],{MANY},3]"), PAIRS),
+        (_density_2x2(f"[[null,0.0],{MANY},[0.0,0.0,0.0]]"), PAIRS),
     ],
 )
-def test_loads_rejects_bad_schemas(payload):
-    with pytest.raises(StateFileError):
+def test_loads_rejects_bad_schemas(payload, message):
+    with pytest.raises(StateFileError) as info:
         statefile.loads(payload)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -129,6 +163,28 @@ def test_loads_rejects_bad_schemas(payload):
 def test_loads_accepts_only_json_numbers(entry):
     with pytest.raises(StateFileError, match="JSON numbers"):
         statefile.loads('{"dims":[1,1],"kind":"density","data":[' + entry + "]}")
+    # last among well-formed pairs, and ahead of an integer beyond float range,
+    # which is refused only once every entry is a number
+    for data in (f"[{MANY},{entry}]", f'[[{"9" * 401},0],{MANY[:-10]},{entry}]'):
+        with pytest.raises(StateFileError) as info:
+            statefile.loads(_density_2x2(data))
+        assert str(info.value) == NUMBERS
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loads_leaves_the_collector_as_it_found_it(enabled):
+    good = statefile.dumps(statefile.from_bipartite(maximally_entangled(2)))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for text in (good, "{not json", _density_2x2('["ab"]'), "[" * 200000):
+            try:
+                statefile.loads(text)
+            except StateFileError:
+                assert text != good
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_loads_integer_entries():
@@ -184,6 +240,14 @@ def test_writers_apply_the_shared_input_rules():
 def test_load_missing_file():
     with pytest.raises(StateFileError, match="cannot read"):
         statefile.load("/nonexistent/state.json")
+
+
+@pytest.mark.parametrize("reader", [statefile.load, statefile.load_state, statefile.load_hamiltonian])
+def test_load_refuses_a_file_that_is_not_utf8_as_unreadable(reader, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dims":[1,1],"kind":"density","data":[[1.0,0.0]]}\xff\n')
+    with pytest.raises(StateFileError, match=f"^cannot read {path}: 'utf-8' codec can't decode byte 0xff"):
+        reader(str(path))
 
 
 def test_round_trip_preserves_exact_floats(tmp_path):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lazylab import (
     BipartiteState,
+    correlation_measures,
     derive_rng,
     ginibre_mixed,
     haar_random_pure,
@@ -20,6 +21,7 @@ from lazylab import (
     rate_bounds,
     schmidt_decompose,
     spectral_projection,
+    statefile,
     validate_density_matrix,
     zero_discord_state,
 )
@@ -241,6 +243,56 @@ def test_pure_state_decides_a_unit_vector_by_the_vector_rule(ds, de):
                     assert str(exc).startswith("state vector has squared norm"), (seed, k, sign)
 
 
+@pytest.mark.parametrize("source", ["pure_state", "purevector file"])
+def test_a_vector_built_state_is_checked_as_a_vector(source, tmp_path, monkeypatch):
+    # no dim x dim Hermiticity check or Cholesky on the state, built or analyzed, and
+    # its evaluator reads the very vector given, not one re-extracted from |chi><chi|
+    chi = haar_random_pure(64, 2201)
+    path = str(tmp_path / "chi.json")
+    statefile.save(path, statefile.from_vector(chi, 8, 8))
+    h = random_interaction(8, 8, 2202)
+    cholesky, require_hermitian = np.linalg.cholesky, linalg.require_hermitian
+    factored, checked = [], []
+
+    def counting_cholesky(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    def counting_hermitian(m, **kwargs):
+        checked.append(kwargs.get("name"))
+        return require_hermitian(m, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(linalg, "require_hermitian", counting_hermitian)
+    st = pure_state(chi, 8, 8) if source == "pure_state" else statefile.load_state(path)
+    laziness_commutator(st)
+    correlation_measures(st)
+    rate_bounds(st, h, ns=(3,), regularize=1e-3)
+    assert factored == []
+    assert checked == ["h_int"]  # the coupling's own check, not the state's
+
+    given = chi if source == "pure_state" else statefile.load(path).data
+    ev = laziness._evaluator(st)
+    assert isinstance(ev, laziness._RankOne) and _same_bits(ev.chi, given)
+    # the state keeps |chi><chi|'s Hermitian part, a valid density matrix
+    outer = np.outer(given, given.conj())
+    assert _same_bits(st.matrix, (outer + outer.conj().T) / 2.0)
+    assert _same_bits(validate_density_matrix(st.matrix), st.matrix)
+
+
+def test_pure_state_keeps_its_own_copy_and_checks_its_dims():
+    chi = haar_random_pure(4, 2203)
+    st = pure_state(chi, 2, 2)
+    before = st.matrix.copy(), laziness._evaluator(st).chi.copy()
+    chi[:] = 0.0
+    assert _same_bits(st.matrix, before[0]) and _same_bits(laziness._evaluator(st).chi, before[1])
+    # the vector is checked first, then the dims, as the BipartiteState would check them
+    with pytest.raises(ValueError, match="^subsystem dimensions must be positive$"):
+        pure_state([1.0], -1, -1)
+    with pytest.raises(ValueError, match="^vector length 1 does not match dims"):
+        pure_state([1.0], 0, 2)
+
+
 def test_purify_pure_input():
     chi, d, da = purify(np.diag([1.0, 0.0]).astype(complex))
     assert (d, da) == (2, 1)
@@ -319,7 +371,9 @@ def test_factory_outputs_pass_invariants():
         de = 2 + (trial // 3) % 3
         rng_state = derive_rng(31337, trial)
         BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(ds * de, ds * de, rng_state))
-        pure_state(haar_random_pure(ds * de, derive_rng(31338, trial)), ds, de)
+        # a vector-built state is checked as a vector; its matrix must pass the full check
+        pure = pure_state(haar_random_pure(ds * de, derive_rng(31338, trial)), ds, de)
+        validate_density_matrix(pure.matrix)
         product_state(ginibre_mixed(ds, ds, derive_rng(31339, trial)),
                       ginibre_mixed(de, de, derive_rng(31340, trial)))
         basis = [np.eye(ds, dtype=complex)[:, j] for j in range(ds)]
