@@ -174,22 +174,23 @@ def record_trajectory(
     local parts provably contribute nothing. Entropy-rate evaluation
     requires full-rank rho_S at every sample (or ``regularize``). With
     H_tot = V diag(E) V† and rho_h = V† rho0 V formed once, each sample
-    is rho(t) = W rho_h W† for W = V diag(exp(-i E t)); one factorization
-    of its rho_S yields the reduced observables, the commutator norms and
-    every rate. The steps run in chunks of laziness._chunks, each read from
-    one evaluator of its stacked states, which laziness._eigenbasis builds. A
-    unitary step keeps rho0's purity, so rho0's own evaluator decides the
-    path: when it is rank-one, rho0 = |chi><chi| evolves as the vectors
-    chi(t) = W V† chi, stacked (n, dim) in chunks of 2^14 / dim steps (256 at
-    dim 64), whose rank-one evaluator never forms |chi(t)><chi(t)|,
+    is rho(t) = W rho_h W† for W = V diag(φ), φ = exp(-i E t); one
+    factorization of its rho_S yields the reduced observables, the commutator
+    norms and every rate. The steps run in chunks of laziness._chunks, each
+    read from one evaluator of its stacked states, which laziness._eigenbasis
+    builds. A unitary step keeps rho0's purity, so rho0's own evaluator
+    decides the path: when it is rank-one, rho0 = |chi><chi| evolves as the
+    vectors chi(t) = W V† chi, stacked (n, dim) in chunks of 2^14 / dim steps
+    (256 at dim 64), whose rank-one evaluator never forms |chi(t)><chi(t)|,
     regularized or not; otherwise the steps are the stacked (n, dim, dim)
-    matrices W rho_h W†, in chunks of 2^14 / dim^2 steps (4 at dim 64).
+    matrices V (rho_h ∘ Φ) V† = W rho_h W†, Φ_kl = φ_k conj(φ_l), formed
+    against the fixed V and V† in chunks of 2^14 / dim^2 steps (4 at dim 64).
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
     decompose_hamiltonian, the times here (finite, ascending). What is
     derived from them is not checked again: the reassembled H_tot is
-    Hermitian by construction, and each step's W rho_h W† is Hermitian to
-    roundoff, its rho_S and rho' symmetrized where they are eigensolved.
+    Hermitian by construction, and each step's V (rho_h ∘ Φ) V† is Hermitian
+    to roundoff, its rho_S and rho' symmetrized where they are eigensolved.
     With ``regularize`` the rates come from the regularized evaluator derived
     from each chunk's (W I W† = I), with no eigensolve of its own.
     """
@@ -219,10 +220,9 @@ def _record_trajectory(rho0, h_tot, times, ns, regularize, split) -> Trajectory:
         phases = np.exp(-1j * energies * t[:, None])
         if pure:  # chi(t) = W V† chi, one matrix-vector product per step
             return _eigenbasis((v @ (phases * rho_h)[..., None])[..., 0], rho0.ds, vectors=True)
-        # W rho_h W† as it comes, Hermitian to roundoff: the dense evaluator
-        # symmetrizes the rho_S and rho' that its eigensolvers read
-        w = v * phases[:, None, :]
-        return _eigenbasis(w @ rho_h @ linalg.dagger(w), rho0.ds)
+        # V (rho_h ∘ Φ) V† with Φ_kl = φ_k conj(φ_l), φ = phases, Hermitian to roundoff:
+        # the dense evaluator symmetrizes the rho_S and rho' that its eigensolvers read
+        return _eigenbasis(v @ (rho_h * (phases[:, :, None] * phases[:, None, :].conj())) @ vd, rho0.ds)
 
     records = []
     for steps in _chunks(ts.size, rho0.dim if pure else rho0.dim**2):

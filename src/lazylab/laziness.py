@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import IMAG_TOL, LAZY_TOL_PER_DIM, PROJECTOR_TOL
-from .states import BipartiteState, SpectralProjection, _cluster_labels, _is_pure
+from .states import BipartiteState, SpectralProjection, _cluster_labels, _composite, _is_pure
 
 
 # Complex entries of one stacked array (256 KiB): stacked states are evaluated in
@@ -548,12 +548,13 @@ def pinching_residual(rho: BipartiteState, cluster_tol: float | None = None) -> 
 def regularize_state(rho: BipartiteState, delta: float) -> BipartiteState:
     """(1 - delta) rho + delta I/dim, pushing rho_S away from rank deficiency.
 
-    The result keeps the evaluator derived from rho's, so it is not factorized again.
+    A mixture of accepted states, it is kept as _composite keeps one, with the
+    evaluator derived from rho's, so it is neither checked nor factorized again.
     """
     _require_weight(delta)
     ev = _regularized(_evaluator(rho), delta)
-    st = BipartiteState(ds=rho.ds, de=rho.de, matrix=ev.mat)
-    vars(st)["_evaluator"] = ev
+    st = object.__new__(BipartiteState)  # without __post_init__'s dim x dim checks
+    vars(st).update(ds=rho.ds, de=rho.de, matrix=_composite(ev.mat), _evaluator=ev)
     return st
 
 

@@ -81,7 +81,7 @@ def from_bipartite(rho: BipartiteState) -> StateFile:
 
 
 def from_vector(chi, ds: int, de: int) -> StateFile:
-    return StateFile(ds=ds, de=de, kind="purevector", data=_unit_vector(chi, ds, de))
+    return StateFile(ds=ds, de=de, kind="purevector", data=_unit_vector(chi, ds, de).copy())
 
 
 def from_hermitian(h, ds: int, de: int) -> StateFile:

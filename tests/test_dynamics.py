@@ -412,6 +412,20 @@ def test_trajectory_matches_single_state_functions(ds, de, kind, regularize):
     _assert_single_state_records(traj, rho0, h_tot, ns, regularize)
 
 
+@pytest.mark.parametrize("regularize", [None, 1e-3])
+@pytest.mark.parametrize("kind", ["mixed", "near_pure"])
+@pytest.mark.parametrize("ds, de", [(8, 8), (2, 3), (3, 2)])
+def test_trajectory_matches_single_state_functions_at_late_times(ds, de, kind, regularize):
+    # phases E t of order 100 rad: a wrong sign or index in Φ_kl = φ_k conj(φ_l)
+    # would move every record, where at short times it could stay under 1e-12
+    seed = 10 * ds + de + 5
+    rho0 = TRAJECTORY_STATES[kind](ds, de, seed)
+    h_tot = random_hermitian(ds * de, seed + 1)
+    ns = (3,)
+    traj = record_trajectory(rho0, h_tot, [0.0, 12.5, 40.0, 137.0], ns=ns, regularize=regularize)
+    _assert_single_state_records(traj, rho0, h_tot, ns, regularize)
+
+
 def _assert_single_state_records(traj, rho0, h_tot, ns, regularize):
     """Each record matches the single-state functions at its time to 1e-12."""
     h_int = decompose_hamiltonian(h_tot, rho0.ds, rho0.de).h_int
@@ -437,7 +451,7 @@ def _assert_single_state_records(traj, rho0, h_tot, ns, regularize):
 
 def _per_step_records(rho0, h_tot, times, ns, regularize):
     """The trajectory evaluated one step at a time, each step's evaluator built by
-    _eigenbasis from its own W rho_h W† or chi(t) = W V† chi."""
+    _eigenbasis from its own V (rho_h ∘ Φ) V†, Φ_kl = φ_k conj(φ_l), or chi(t) = W V† chi."""
     triple = decompose_hamiltonian(h_tot, rho0.ds, rho0.de)
     spec = linalg.hermitian_eig(triple.reassemble())
     v = spec.eigenvectors
@@ -450,9 +464,8 @@ def _per_step_records(rho0, h_tot, times, ns, regularize):
         phase = np.exp(-1j * spec.eigenvalues * t)
         if pure:
             state = v @ (phase * rho_h)
-        else:  # W rho_h W† as it is; the dense evaluator symmetrizes its rho_S
-            w = v * phase
-            state = w @ rho_h @ linalg.dagger(w)
+        else:  # W rho_h W† = V (rho_h ∘ Φ) V† as it is; the dense evaluator symmetrizes its rho_S
+            state = v @ (rho_h * np.outer(phase, phase.conj())) @ linalg.dagger(v)
         ev = laziness._eigenbasis(state, rho0.ds, vectors=pure)
         report = laziness._rate_report(laziness._regularized(ev, regularize), triple.h_int, h_norm, ())
         records.append(

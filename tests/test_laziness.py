@@ -56,6 +56,7 @@ from lazylab.laziness import (
 from lazylab.protocol import sparsity_scan
 
 from .conftest import (
+    _same_bits,
     lazy_block_state,
     random_full_rank_state,
     random_interaction,
@@ -409,6 +410,45 @@ def test_regularize_state_properties():
             regularize_state(st, bad)
     with pytest.raises(ValueError, match="regularization weight must be in"):
         rate_bounds(random_full_rank_state(2, 2, 5), random_interaction(2, 2, 6), regularize="0.1")
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.5])
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: random_full_rank_state(8, 8, 2301), id="ginibre-8x8"),
+        pytest.param(lambda: random_pure_bipartite(8, 8, 2302), id="haarpure-8x8"),
+        pytest.param(lambda: maximally_entangled(3), id="maxent-3x3"),
+        pytest.param(
+            lambda: BipartiteState(ds=2, de=3, matrix=ginibre_mixed(6, 2, 2303)), id="rank2-2x3"
+        ),
+    ],
+)
+def test_regularize_state_is_neither_checked_nor_factorized_again(monkeypatch, make, delta):
+    # (1 - d) rho + d I/dim is valid by construction: no dim x dim Hermiticity check or
+    # Cholesky runs on it, and it keeps the bits the checked BipartiteState would keep
+    st = make()
+    ev = laziness._evaluator(st)
+    cholesky, require_hermitian = np.linalg.cholesky, linalg.require_hermitian
+    calls = []
+
+    def counting(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting(cholesky))
+    monkeypatch.setattr(linalg, "require_hermitian", counting(require_hermitian))
+    reg = regularize_state(st, delta)
+    assert calls == []
+    derived = laziness._evaluator(reg)  # the evaluator derived from st's, kept on reg
+    assert isinstance(derived, laziness._Regularized) and derived.base is ev and derived.d == delta
+    monkeypatch.undo()
+    checked = BipartiteState(ds=st.ds, de=st.de, matrix=laziness._regularized(ev, delta).mat)
+    assert _same_bits(reg.matrix, checked.matrix)
+    assert (reg.ds, reg.de) == (st.ds, st.de)
 
 
 def test_moment_rate_trace_preservation():

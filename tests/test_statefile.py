@@ -38,6 +38,18 @@ def test_purevector_round_trip(tmp_path):
     assert_allclose(state.matrix, np.outer(chi, chi.conj()), atol=1e-12)
 
 
+def test_from_vector_keeps_its_own_copy(tmp_path):
+    # the file written is the vector given at the call, not what the caller's array holds later
+    chi = schmidt_pure_vector([0.8, 0.2]).astype(complex)
+    sf = statefile.from_vector(chi, 2, 2)
+    text = statefile.dumps(sf)
+    chi[:] = 0.0
+    assert statefile.dumps(sf) == text
+    path = tmp_path / "chi.json"
+    statefile.save(path, sf)
+    assert path.read_text() == text
+
+
 def test_hermitian_round_trip(tmp_path):
     h = random_hermitian(6, 4)
     path = tmp_path / "h.json"
