@@ -119,6 +119,11 @@ CLI_GOLDENS = (
         ("sparsity", "--ds", "2", "--de", "2", "--samples", "50", "--seed", "0", "--bins", "4"),
         "sparsity_2x2.txt",
     ),
+    (
+        ("sparsity", "--ds", "2", "--de", "2", "--samples", "50", "--seed", "0", "--bins", "4", "--json"),
+        "sparsity_2x2.json",
+    ),
+    (("analyze", SCHMIDT, HAMILTONIAN, "--moments", "3,10", "--csv"), "analyze_schmidt_h.csv"),
 )
 
 
