@@ -5,6 +5,8 @@ All subcommands are deterministic given their full flag set (including
 (numerical-domain error, i.e. rank deficiency without --regularize).
 Each handler returns its text and main writes it: to stdout, or to the
 file every subcommand's --out names, only once the command has succeeded.
+--json text is json.dumps(payload, sort_keys=True, indent=2) byte for byte,
+written by statefile's orjson writer from the reports' shallow field dicts.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import operator
 import sys
 
@@ -67,7 +68,7 @@ def _fields_text(report, *names: str) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return statefile._json_text(payload, indent=True) + "\n"
 
 
 def _csv_quote(field: str) -> str:
@@ -148,21 +149,21 @@ def cmd_analyze(args) -> str:
     payload = {
         "dims": [state.ds, state.de],
         "commutator": _commutator_norms(state, args.tol),
-        "correlations": dataclasses.asdict(correlation_measures(state)),
+        "correlations": vars(correlation_measures(state)),
     }
     if args.hamiltonian is not None:
         # checked as the file is read, and not again as the h_tot split or the h_int rated
         h_tot = statefile.load_hamiltonian(args.hamiltonian)
         report = _rate_bounds(state, _decompose(h_tot, state.ds, state.de).h_int, ns, args.regularize)
-        payload["rates"] = dataclasses.asdict(report)
-        # string keys so that json and _flatten both order "10" before "3"
-        payload["rates"]["moment_rates"] = {str(n): v for n, v in report.moment_rates.items()}
+        # string keys so that the writer and _flatten both order "10" before "3"
+        moments = {str(n): v for n, v in report.moment_rates.items()}
+        payload["rates"] = dict(vars(report), moment_rates=moments)
 
     if args.json:
         return _json_text(payload)
     if args.csv:
         rows = [
-            [k, v if isinstance(v, float) else json.dumps(v, separators=(",", ":"))]
+            [k, v if isinstance(v, float) else statefile._json_text(v, indent=False)]
             for k, v in _flatten(payload)
         ]
         return _csv_text(["key", "value"], rows)
@@ -200,7 +201,7 @@ def cmd_detect_discord(args) -> str:
         fd_step=args.fd_step,
     )
     if args.json:
-        return _json_text(dataclasses.asdict(verdict))
+        return _json_text(vars(verdict))
     names = ("samples", "max_abs_purity_rate", "threshold", "discord_detected")
     return _fields_text(verdict, *names)
 
@@ -219,7 +220,7 @@ def cmd_sparsity(args) -> str:
         bins=args.bins,
     )
     if args.json:
-        return _json_text(dataclasses.asdict(summary))
+        return _json_text(vars(summary))
     edges = summary.histogram_edges
     bins = zip(edges[:-1], edges[1:], summary.histogram_counts)
     return (

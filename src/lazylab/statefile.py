@@ -19,16 +19,15 @@ not an integer. A state file has exactly the three keys and nests three
 levels deep, so text nested near json's recursion limit is refused by
 either reading.
 
-Writing goes through orjson too, byte for byte as json.dumps over the
-same floats wrote it. Both write each float's shortest round-trip
-digits, and they spell them alike for 0 and every |x| in [1e-4, 1e16).
-Outside that range orjson writes 1e16, 1e-7 and 0.00003 where repr
-writes 1e+16, 1e-07 and 3e-05. dumps therefore hands orjson every
-value outside the range as NaN, which orjson writes as null, splits
-the text on null and fills the gaps in order with repr of those
-values. null occurs nowhere else, because dumps first refuses, with
-the messages loads gives, what loads would refuse: the data are
-finite, and the keys, dims and kind hold no null.
+Writing goes through orjson too, byte for byte as json.dumps wrote the
+same values: _json_text writes state files and the CLI's JSON answers.
+Both libraries write each float's shortest round-trip digits, and they
+spell them alike for 0 and every |x| in [1e-4, 1e16). Outside that
+range orjson writes 1e16, 1e-7 and 0.00003 where repr writes 1e+16,
+1e-07 and 3e-05, and it writes NaN and the infinities as null where
+json writes NaN, Infinity and -Infinity. _json_text therefore hands
+orjson those floats as NaN, splits the text on null and fills the gaps
+in order with json's spelling of each, or null for a None.
 
 A read runs with the cyclic garbage collector paused. A 64-dim file parses
 into 4,096 two-entry lists, which cannot form a cycle, yet their allocation
@@ -44,7 +43,7 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -58,6 +57,7 @@ _KEYS = ("dims", "kind", "data")
 # first or from the second in scientific notation, which orjson spells otherwise
 _REPR_FIXED_FROM = 0.0001
 _REPR_FIXED_BELOW = 10_000_000_000_000_000.0
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's, not repr's
 
 
 class StateFileError(ValueError):
@@ -115,23 +115,52 @@ def dumps(sf: StateFile) -> str:
 
     Raises StateFileError, as loads does, for a file loads would refuse.
     """
-    import orjson
-
     flat = np.asarray(sf.data, dtype=complex).reshape(-1)
     _checked([sf.ds, sf.de], sf.kind, flat)
     pairs = np.column_stack((flat.real, flat.imag))
-    mag = np.abs(pairs)
-    scientific = (mag < _REPR_FIXED_FROM) & (mag != 0) | (mag >= _REPR_FIXED_BELOW)
-    spelled = list(map(repr, pairs[scientific].tolist()))
-    pairs[scientific] = np.nan
-    payload = {"data": pairs, "dims": [sf.ds, sf.de], "kind": sf.kind}
+    return _json_text({"data": pairs, "dims": [sf.ds, sf.de], "kind": sf.kind}, indent=False) + "\n"
+
+
+def _json_text(obj, *, indent: bool) -> str:
+    """json.dumps(obj, sort_keys=True) with indent=2, or else separators=(",", ":"), through
+    orjson (see the module docstring). obj nests str-keyed dicts, lists, tuples and finite
+    float arrays over floats, 64-bit ints, bools, None and printable-ASCII strings (json
+    escapes DEL and non-ASCII, orjson does not); an explicit stack walks it, leaving no cycle."""
+    import orjson
+
+    root = [obj]
+    stack = [(root, 0)]  # (container, key) of each value still to walk, the next one last
+    spelled = []  # json's text for each null orjson will write, in writing order
+    while stack:
+        node, key = stack.pop()
+        value = node[key]
+        if isinstance(value, float):  # np.float64 too, which orjson writes as a float
+            # orjson spells a float as repr does iff it is 0 or in [FIXED_FROM, FIXED_BELOW)
+            if not (value == 0 or _REPR_FIXED_FROM <= abs(value) < _REPR_FIXED_BELOW):
+                text = repr(float(value))
+                spelled.append(_JSON_SPELLING.get(text, text))
+                node[key] = np.nan
+        elif isinstance(value, dict):
+            node[key] = value = dict(value)
+            stack += zip(repeat(value), sorted(value, reverse=True))
+        elif isinstance(value, (list, tuple)):
+            node[key] = value = list(value)
+            stack += zip(repeat(value), range(len(value) - 1, -1, -1))
+        elif value is None:
+            spelled.append("null")
+        elif isinstance(value, np.ndarray):  # finite: the same rule elementwise, row-major
+            mag = np.abs(value)
+            splice = (mag < _REPR_FIXED_FROM) & (mag != 0) | (mag >= _REPR_FIXED_BELOW)
+            spelled += map(repr, value[splice].tolist())
+            node[key] = np.where(splice, np.nan, value)
     option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-    parts = orjson.dumps(payload, option=option).decode().split("null")
-    parts[-1] += "\n"
-    out = [""] * (2 * len(parts) - 1)
-    out[::2] = parts
-    out[1::2] = spelled
-    return "".join(out)
+    text = orjson.dumps(root[0], option=option | orjson.OPT_INDENT_2 if indent else option).decode()
+    parts = text.split("null")
+    if len(parts) != len(spelled) + 1:  # a string holds "null": json writes the text
+        seps = None if indent else (",", ":")
+        return json.dumps(obj, sort_keys=True, indent=2 if indent else None, separators=seps)
+    spelled.append("")
+    return "".join(chain.from_iterable(zip(parts, spelled)))
 
 
 def loads(text: str) -> StateFile:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -514,6 +515,28 @@ def test_main_can_be_reused_in_process(tmp_path, capsys):
     assert main(["analyze", path, h, "--regularize", "1e-6", "--json"]) == 0
     assert main(["analyze", path, h, "--json"]) == 3
     assert "regularize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(GOLDEN / "schmidt_08_02.json"), str(GOLDEN / "hamiltonian_2x2.json"), "--json"],
+        ["detect-discord", str(GOLDEN / "schmidt_08_02.json"), "--samples", "20", "--seed", "3", "--json"],
+        ["sparsity", "--ds", "2", "--de", "2", "--samples", "50", "--seed", "0", "--bins", "4", "--json"],
+    ],
+)
+def test_json_answers_leave_no_cyclic_garbage(argv, capsys):
+    # json.dumps's indenting encoder left 33 objects per answer that only the cyclic collector frees
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(argv) == 0  # the first answer may fill caches
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture(scope="module")

@@ -459,6 +459,42 @@ def test_dumps_matches_json_reference(sf):
     assert statefile.loads(text).data.tobytes() == np.asarray(sf.data, dtype=complex).tobytes()
 
 
+_TEXT = hst.one_of(
+    hst.text(hst.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6),  # printable ASCII
+    hst.sampled_from(["null", "a null", 'x": null']),  # the token the writer splits on
+)
+_LEAVES = hst.one_of(
+    _FLOATS,
+    hst.sampled_from(_EDGES + [-x for x in _EDGES] + [-0.0, math.nan, math.inf, -math.inf]),
+    _FLOATS.map(np.float64),
+    hst.integers(-(2**63), 2**63 - 1),
+    hst.booleans(),
+    hst.none(),
+    _TEXT,
+)
+_PAYLOADS = hst.recursive(
+    _LEAVES,
+    lambda inner: hst.one_of(
+        hst.lists(inner, max_size=4),
+        hst.lists(inner, max_size=4).map(tuple),
+        hst.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_PAYLOADS)
+@example({"b": [], "a": {}, "c": (np.float64(1e-7), None, -math.inf, 1e16, -0.0, 0)})
+@example({"null": [None, "a null", math.nan]})
+@example({"z": 1e-7, "y": None, "x": [-math.inf, 5e-324]})  # spliced in the order keys are written
+def test_json_text_matches_json_dumps(obj):
+    """The writer of state files and CLI answers writes json.dumps's bytes, indented and compact."""
+    assert statefile._json_text(obj, indent=True) == json.dumps(obj, sort_keys=True, indent=2)
+    compact = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert statefile._json_text(obj, indent=False) == compact
+
+
 @pytest.mark.parametrize(
     "kind, d",
     [("bell", 2)]
