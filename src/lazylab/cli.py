@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import statefile
-from .dynamics import TrajectoryRecord, _decompose, _record_trajectory
+from .dynamics import HamiltonianTriple, TrajectoryRecord, _decompose, _record_trajectory
 from .laziness import (
     RankDeficientStateError,
     _commutator_norms,
@@ -92,8 +92,21 @@ def _parse_probs(text: str) -> list[float]:
     return probs
 
 
-def _parse_moments(text: str | None) -> tuple[int, ...]:
-    return tuple(_moment_order(int(n)) for n in text.split(",")) if text else ()
+def _rate_inputs(args) -> tuple[tuple[int, ...], BipartiteState, HamiltonianTriple | None]:
+    """The --moments orders, the state and the split of the Hamiltonian file, if one is given:
+    the rate flags are checked before a file is read, the Hamiltonian once, as it is read."""
+    ns = tuple(_moment_order(int(n)) for n in args.moments.split(",")) if args.moments else ()
+    if args.regularize is not None:
+        _require_weight(args.regularize)
+    state = statefile.load_state(args.state)
+    if args.hamiltonian is None:
+        return ns, state, None
+    sf = statefile.load(args.hamiltonian)
+    if (sf.ds, sf.de) != (state.ds, state.de):
+        raise statefile.StateFileError(
+            f"Hamiltonian has dims ({sf.ds}, {sf.de}), the state has ({state.ds}, {state.de})"
+        )
+    return ns, state, _decompose(statefile.to_hamiltonian(sf), state.ds, state.de)
 
 
 def cmd_gen(args) -> str:
@@ -140,21 +153,15 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def cmd_analyze(args) -> str:
-    # the rate flags are checked also when no Hamiltonian puts them to use
-    ns = _parse_moments(args.moments)
-    if args.regularize is not None:
-        _require_weight(args.regularize)
-    state = statefile.load_state(args.state)
+    ns, state, triple = _rate_inputs(args)
     # every field below reads the state's one evaluator; the dense commutator is not printed
     payload = {
         "dims": [state.ds, state.de],
         "commutator": _commutator_norms(state, args.tol),
         "correlations": vars(correlation_measures(state)),
     }
-    if args.hamiltonian is not None:
-        # checked as the file is read, and not again as the h_tot split or the h_int rated
-        h_tot = statefile.load_hamiltonian(args.hamiltonian)
-        report = _rate_bounds(state, _decompose(h_tot, state.ds, state.de).h_int, ns, args.regularize)
+    if triple is not None:
+        report = _rate_bounds(state, triple.h_int, ns, args.regularize)
         # string keys so that the writer and _flatten both order "10" before "3"
         moments = {str(n): v for n, v in report.moment_rates.items()}
         payload["rates"] = dict(vars(report), moment_rates=moments)
@@ -171,15 +178,13 @@ def cmd_analyze(args) -> str:
 
 
 def cmd_evolve(args) -> str:
-    state = statefile.load_state(args.state)
-    h_tot = statefile.load_hamiltonian(args.hamiltonian)
-    if args.t_max <= 0:
-        raise ValueError(f"--t-max must be positive, got {args.t_max}")
+    if not 0.0 < args.t_max < np.inf:  # NaN too
+        raise ValueError(f"--t-max must be finite and positive, got {args.t_max}")
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
-    ns = _parse_moments(args.moments)
-    times = np.linspace(0.0, args.t_max, args.steps)
-    traj = _record_trajectory(state, h_tot, times, ns, args.regularize, _decompose)
+    ns, state, triple = _rate_inputs(args)
+    times = np.linspace(0.0, args.t_max, args.steps)  # finite and ascending: no check again
+    traj = _record_trajectory(state, triple, times, ns, args.regularize)
 
     # columns follow TrajectoryRecord's field order, moment values last
     cols = [f.name for f in dataclasses.fields(TrajectoryRecord) if f.name != "moment_values"]

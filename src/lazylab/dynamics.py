@@ -194,11 +194,6 @@ def record_trajectory(
     With ``regularize`` the rates come from the regularized evaluator derived
     from each chunk's (W I W† = I), with no eigensolve of its own.
     """
-    return _record_trajectory(rho0, h_tot, times, ns, regularize, decompose_hamiltonian)
-
-
-def _record_trajectory(rho0, h_tot, times, ns, regularize, split) -> Trajectory:
-    """record_trajectory with H_tot split by ``split``: _decompose for a checked H_tot."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
@@ -206,8 +201,11 @@ def _record_trajectory(rho0, h_tot, times, ns, regularize, split) -> Trajectory:
         raise ValueError("times must be finite")
     if np.any(np.diff(ts) < 0):
         raise ValueError("times must be sorted ascending")
+    return _record_trajectory(rho0, decompose_hamiltonian(h_tot, rho0.ds, rho0.de), ts, ns, regularize)
 
-    triple = split(h_tot, rho0.ds, rho0.de)
+
+def _record_trajectory(rho0, triple: HamiltonianTriple, ts, ns, regularize) -> Trajectory:
+    """record_trajectory of H_tot's split triple at the 1-D array ts of finite ascending times."""
     energies, v = np.linalg.eigh(triple.reassemble())
     h_norm = _operator_norm_hermitian(triple.h_int)
     vd = linalg.dagger(v)

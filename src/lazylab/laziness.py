@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import IMAG_TOL, LAZY_TOL_PER_DIM, PROJECTOR_TOL
-from .states import BipartiteState, SpectralProjection, _cluster_labels, _composite, _is_pure
+from .states import BipartiteState, SpectralProjection, _cluster_labels, _is_pure, _valid_state
 
 
 # Complex entries of one stacked array (256 KiB): stacked states are evaluated in
@@ -408,6 +408,10 @@ class _Regularized(_Eigenbasis):
     base: _Eigenbasis
     d: float
 
+    @classmethod
+    def of(cls, base: _Eigenbasis, d: float) -> _Regularized:  # d checked already
+        return cls(lam=(1.0 - d) * base.lam + d / base.lam.shape[-1], u=base.u, base=base, d=d)
+
     @property
     def dim(self) -> int:
         return self.base.dim
@@ -431,18 +435,16 @@ class _Regularized(_Eigenbasis):
         return (1.0 - self.d) * self.base.flow(h)
 
 
-def _require_weight(d) -> None:
-    """Refuse a regularization weight d that is not a real number in (0, 1)."""
+def _require_weight(d) -> float:
+    """d, refused as a regularization weight unless it is a real number in (0, 1)."""
     if not (isinstance(d, Real) and 0.0 < d < 1.0):
         raise ValueError(f"regularization weight must be in (0, 1), got {d!r}")
+    return d
 
 
 def _regularized(ev: _Eigenbasis, d: float | None) -> _Eigenbasis:
     """The evaluator of (1-d) rho_SE + d I/dim derived from rho_SE's ev; ev if d is None."""
-    if d is None:
-        return ev
-    _require_weight(d)
-    return _Regularized(lam=(1.0 - d) * ev.lam + d / ev.lam.shape[-1], u=ev.u, base=ev, d=d)
+    return ev if d is None else _Regularized.of(ev, _require_weight(d))
 
 
 def _evaluator(rho: BipartiteState) -> _Eigenbasis:
@@ -548,14 +550,11 @@ def pinching_residual(rho: BipartiteState, cluster_tol: float | None = None) -> 
 def regularize_state(rho: BipartiteState, delta: float) -> BipartiteState:
     """(1 - delta) rho + delta I/dim, pushing rho_S away from rank deficiency.
 
-    A mixture of accepted states, it is kept as _composite keeps one, with the
-    evaluator derived from rho's, so it is neither checked nor factorized again.
+    delta is checked first, None too. A mixture of accepted states, the result is kept
+    with the evaluator derived from rho's, neither checked nor factorized again.
     """
-    _require_weight(delta)
-    ev = _regularized(_evaluator(rho), delta)
-    st = object.__new__(BipartiteState)  # without __post_init__'s dim x dim checks
-    vars(st).update(ds=rho.ds, de=rho.de, matrix=_composite(ev.mat), _evaluator=ev)
-    return st
+    ev = _Regularized.of(d=_require_weight(delta), base=_evaluator(rho))
+    return _valid_state(rho.ds, rho.de, ev.mat, ev)
 
 
 def _require_real(value, *, what: str):

@@ -172,9 +172,13 @@ def pure_state(chi, ds: int, de: int) -> BipartiteState:
     vec = _unit_vector(chi, ds, de).copy()
     if ds < 1 or de < 1:
         raise ValueError("subsystem dimensions must be positive")
-    state = object.__new__(BipartiteState)  # without __post_init__'s dim x dim checks
-    vars(state).update(ds=ds, de=de, matrix=_composite(np.outer(vec, vec.conj())))
-    vars(state)["_evaluator"] = _eigenbasis(vec, ds, vectors=True)
+    return _valid_state(ds, de, np.outer(vec, vec.conj()), _eigenbasis(vec, ds, vectors=True))
+
+
+def _valid_state(ds: int, de: int, mat: np.ndarray, ev) -> BipartiteState:
+    """mat, valid by construction, as _composite keeps it, seeded with its evaluator ev."""
+    state = object.__new__(BipartiteState)
+    vars(state).update(ds=ds, de=de, matrix=_composite(mat), _evaluator=ev)
     return state
 
 

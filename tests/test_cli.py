@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from lazylab import (
+    BipartiteState,
+    decompose_hamiltonian,
+    ginibre_mixed,
     haar_random_pure,
     laziness,
     linalg,
     random_hermitian,
+    rate_bounds,
     record_trajectory,
     statefile,
 )
@@ -328,10 +332,90 @@ def test_evolve_regularize_end_to_end(tmp_path):
         for got, v in zip(map(float, line.split(",")), want):
             assert abs(got - v) <= 1e-12 * (1.0 + abs(v)), (header, line, want)
 
+    # refused as a flag, with one error line and no numpy warning before it
     for t_max in ("nan", "inf"):
         proc = run_cli(*args[:3], "--t-max", t_max, "--steps", "3", check=False)
         assert proc.returncode == 2
-        assert b"times must be finite" in proc.stderr
+        assert proc.stderr == f"error: --t-max must be finite and positive, got {t_max}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-max", "nan"], "--t-max must be finite and positive, got nan"),
+        (["--t-max", "inf"], "--t-max must be finite and positive, got inf"),
+        (["--t-max=-inf"], "--t-max must be finite and positive, got -inf"),
+        (["--t-max", "0"], "--t-max must be finite and positive, got 0.0"),
+        (["--steps", "1"], "--steps must be >= 2, got 1"),
+        (["--moments", "0"], "moment order must be an integer >= 1, got 0"),
+        (["--regularize", "1"], "regularization weight must be in (0, 1), got 1.0"),
+    ],
+    ids=["t-max-nan", "t-max-inf", "t-max-minus-inf", "t-max-zero", "steps", "moments",
+         "regularize"],
+)
+def test_evolve_checks_every_rate_flag_before_it_reads_a_file(flags, message, tmp_path, capsys):
+    # in process, under the RuntimeWarning-as-error filter: a t_max that is not finite
+    # never reaches np.linspace, and neither file (here missing) is opened
+    argv = ["evolve", str(tmp_path / "no-state.json"), str(tmp_path / "no-h.json"),
+            "--t-max", "1", "--steps", "3", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _ginibre_file(path, ds, de, seed):
+    state = BipartiteState(ds=ds, de=de, matrix=ginibre_mixed(ds * de, ds * de, seed))
+    statefile.save(path, statefile.from_bipartite(state))
+    return state
+
+
+@pytest.mark.parametrize("dims", [(4, 2), (1, 8)])
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_a_hamiltonian_file_of_other_dims_is_refused(command, dims, tmp_path, capsys):
+    # one 8x8 operator fits a 2x4 state only as dims (2, 4): another split of the
+    # same matrix would rate another h_int
+    state, h = tmp_path / "state.json", tmp_path / "h.json"
+    _ginibre_file(state, 2, 4, 2401)
+    h_tot = random_hermitian(8, 2402)
+    rest = ["--t-max", "1", "--steps", "3"] if command == "evolve" else ["--json"]
+    statefile.save(h, statefile.from_hermitian(h_tot, 2, 4))
+    assert main([command, str(state), str(h), *rest]) == 0
+    capsys.readouterr()
+    statefile.save(h, statefile.from_hermitian(h_tot, *dims))
+    assert main([command, str(state), str(h), *rest]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: Hamiltonian has dims ({dims[0]}, {dims[1]}), the state has (2, 4)\n"
+    )
+
+
+def test_a_2x3_hamiltonian_file_rates_as_the_public_functions_do(tmp_path, capsys):
+    # ds != de: a reader that swapped the system and environment dims would split
+    # the 6x6 operator as 3x2 and rate another h_int
+    path, hpath = tmp_path / "state.json", tmp_path / "h.json"
+    state = _ginibre_file(path, 2, 3, 2403)
+    h_tot = random_hermitian(6, 2404)
+    statefile.save(hpath, statefile.from_hermitian(h_tot, 2, 3))
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (got, want)
+
+    assert main(["analyze", str(path), str(hpath), "--moments", "3", "--json"]) == 0
+    rates = json.loads(capsys.readouterr().out)["rates"]
+    report = rate_bounds(state, decompose_hamiltonian(h_tot, 2, 3).h_int, ns=(3,))
+    assert rates.pop("mi_purity_bound") is report.mi_purity_bound is None
+    assert rates.pop("h_int_norm_kind") == report.h_int_norm_kind
+    close(rates.pop("moment_rates")["3"], report.moment_rates[3])
+    for name, got in rates.items():
+        close(got, getattr(report, name))
+
+    assert main(["evolve", str(path), str(hpath), "--t-max", "1.5", "--steps", "6"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    header = lines[0].split(",")
+    traj = record_trajectory(state, h_tot, np.linspace(0.0, 1.5, 6))
+    assert len(lines) == 1 + len(traj.records)
+    for line, t, rec in zip(lines[1:], traj.times, traj.records):
+        want = [t, *(getattr(rec, name) for name in header[1:])]
+        for got, v in zip(map(float, line.split(",")), want):
+            close(got, v)
 
 
 def test_evolve_wrong_kind_exit_2():
