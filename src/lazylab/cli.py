@@ -95,7 +95,13 @@ def _parse_probs(text: str) -> list[float]:
 def _rate_inputs(args) -> tuple[tuple[int, ...], BipartiteState, HamiltonianTriple | None]:
     """The --moments orders, the state and the split of the Hamiltonian file, if one is given:
     the rate flags are checked before a file is read, the Hamiltonian once, as it is read."""
-    ns = tuple(_moment_order(int(n)) for n in args.moments.split(",")) if args.moments else ()
+    try:
+        orders = [int(n) for n in args.moments.split(",")] if args.moments else []
+    except ValueError:
+        raise ValueError(
+            f"--moments must be comma-separated integers >= 1, got {args.moments!r}"
+        ) from None
+    ns = tuple(map(_moment_order, orders))
     if args.regularize is not None:
         _require_weight(args.regularize)
     state = statefile.load_state(args.state)

@@ -7,6 +7,7 @@ only by the O(h^2) truncation of the stencil, not by integrator error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,8 @@ def record_trajectory(
     against the fixed V and V† in chunks of 2^14 / dim^2 steps (4 at dim 64).
 
     Only the inputs are checked, once: rho0 when it was built, H_tot by
-    decompose_hamiltonian, the times here (finite, ascending). What is
+    decompose_hamiltonian, the times here (finite, ascending) and, against
+    the energies, where each phase E t must stay finite. What is
     derived from them is not checked again: the reassembled H_tot is
     Hermitian by construction, and each step's V (rho_h ∘ Φ) V† is Hermitian
     to roundoff, its rho_S and rho' symmetrized where they are eigensolved.
@@ -207,6 +209,12 @@ def record_trajectory(
 def _record_trajectory(rho0, triple: HamiltonianTriple, ts, ns, regularize) -> Trajectory:
     """record_trajectory of H_tot's split triple at the 1-D array ts of finite ascending times."""
     energies, v = np.linalg.eigh(triple.reassemble())
+    # both are ascending, so the largest |E t| is read at their ends
+    e_max, t_max = (max(abs(float(x[0])), abs(float(x[-1]))) for x in (energies, ts))
+    if not math.isfinite(e_max * t_max):
+        raise ValueError(
+            f"times up to |t| = {t_max:g} overflow the phases exp(-i E t), |E| up to {e_max:g}"
+        )
     h_norm = _operator_norm_hermitian(triple.h_int)
     vd = linalg.dagger(v)
     ev0 = _evaluator(rho0)

@@ -8,7 +8,7 @@ trial's generator draws its Gaussian numbers in a fixed order
 (bound_sweep also normalizes its Haar-pure vectors one by one).
 Everything after the draws runs once per chunk on the samples stacked
 into (n, dim, dim) arrays: the GUE and Ginibre arithmetic, the coupling
-decomposition, every per-sample check (its error names the failing
+decomposition, every check of a drawn sample (its error names the failing
 trial) and the rates and norms.
 """
 
@@ -166,11 +166,11 @@ def sparsity_scan(
 ) -> SparsitySummary:
     """Ginibre-sample states and histogram the commutator trace norm.
 
-    ``include`` injects one given state as sample 0 (a plumbing hook for
-    checking that genuinely lazy inputs are counted). The count with
-    ||C||_1 <= lazy_tol, by default the lazy tolerance of laziness_commutator,
-    is the headline number; lazy states occupy measure zero under this
-    sampling, so the expected count is zero. ``bins`` must be >= 1.
+    ``include`` injects a given state as sample 0, read from its own evaluator
+    as analyze reads it, to check that lazy inputs are counted; trials 1..N-1
+    are drawn. The count with ||C||_1 <= lazy_tol (default: the lazy tolerance
+    of laziness_commutator) is the headline number; lazy states occupy measure
+    zero under this sampling, so the expected count is zero. ``bins`` >= 1.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -183,16 +183,16 @@ def sparsity_scan(
         lazy_tol = default_lazy_tolerance(ds, de)
     linalg._require_tolerance(lazy_tol, "lazy_tol")
     dim = ds * de
-    chunks = _chunks(samples, dim**2)
     arr = np.empty(samples)
-    for trials in chunks:
-        rngs = [derive_rng(seed, trial) for trial in trials if include is None or trial > 0]
-        mats = _draw(rngs, dim, rank)
-        if len(rngs) < len(trials):  # trial 0 is the included state
-            mats = np.concatenate((include.matrix[None], mats))
-        with _naming_trials(trials):
-            mats = validate_density_matrix(mats, name="bipartite state")
-            arr[trials.start : trials.stop] = _eigenbasis(mats, ds).comm_trace_norm
+    if include is not None:  # read, not drawn: it was checked once, when it was built
+        arr[0] = _evaluator(include).comm_trace_norm
+    for trials in _chunks(samples, dim**2):
+        trials = range(max(trials.start, include is not None), trials.stop)  # the drawn ones
+        mats = _draw([derive_rng(seed, trial) for trial in trials], dim, rank)  # checks rank
+        if trials:
+            with _naming_trials(trials):
+                mats = validate_density_matrix(mats, name="bipartite state")
+                arr[trials.start : trials.stop] = _eigenbasis(mats, ds).comm_trace_norm
     hi = float(arr.max())
     edges = np.linspace(0.0, hi if hi > 0 else 1.0, bins + 1)
     counts, _ = np.histogram(arr, bins=edges)

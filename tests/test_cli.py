@@ -224,8 +224,13 @@ def test_tolerances_and_steps_must_be_finite_and_non_negative(args, name, value,
         ("--regularize", "1", "regularization weight must be in (0, 1), got 1.0"),
         ("--moments", "0", "moment order must be an integer >= 1, got 0"),
         ("--moments", "3,-2", "moment order must be an integer >= 1, got -2"),
+        *(
+            ("--moments", value, f"--moments must be comma-separated integers >= 1, got {value!r}")
+            for value in ("2.5", "3,,4", "abc", "1e3")
+        ),
     ],
-    ids=["regularize-negative", "regularize-one", "moments-zero", "moments-negative"],
+    ids=["regularize-negative", "regularize-one", "moments-zero", "moments-negative",
+         "moments-fraction", "moments-empty-item", "moments-word", "moments-exponent"],
 )
 def test_analyze_checks_rate_flags_with_or_without_a_hamiltonian(flag, value, message, capsys):
     for h in ([], [str(GOLDEN / "hamiltonian_2x2.json")]):
@@ -348,10 +353,12 @@ def test_evolve_regularize_end_to_end(tmp_path):
         (["--t-max", "0"], "--t-max must be finite and positive, got 0.0"),
         (["--steps", "1"], "--steps must be >= 2, got 1"),
         (["--moments", "0"], "moment order must be an integer >= 1, got 0"),
+        (["--moments", "2.5"], "--moments must be comma-separated integers >= 1, got '2.5'"),
+        (["--moments", "3,,4"], "--moments must be comma-separated integers >= 1, got '3,,4'"),
         (["--regularize", "1"], "regularization weight must be in (0, 1), got 1.0"),
     ],
     ids=["t-max-nan", "t-max-inf", "t-max-minus-inf", "t-max-zero", "steps", "moments",
-         "regularize"],
+         "moments-fraction", "moments-empty-item", "regularize"],
 )
 def test_evolve_checks_every_rate_flag_before_it_reads_a_file(flags, message, tmp_path, capsys):
     # in process, under the RuntimeWarning-as-error filter: a t_max that is not finite
@@ -360,6 +367,19 @@ def test_evolve_checks_every_rate_flag_before_it_reads_a_file(flags, message, tm
             "--t-max", "1", "--steps", "3", *flags]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_evolve_refuses_a_t_max_whose_phases_overflow(capsys):
+    # finite, so accepted as a flag, but E t overflows: one error line, no numpy
+    # warning (under the RuntimeWarning-as-error filter); 1e17 is still evolved
+    argv = ["evolve", str(GOLDEN / "product.json"), str(GOLDEN / "hamiltonian_2x2.json"),
+            "--steps", "3", "--t-max"]
+    assert main([*argv, "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: times up to |t| = 1e+308 overflow the phases")
+    assert err.count("\n") == 1
+    assert main([*argv, "1e17"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def _ginibre_file(path, ds, de, seed):
@@ -466,13 +486,21 @@ def test_sparsity_scan_cli(tmp_path):
     assert sum(payload["histogram_counts"]) == 100
 
 
-def test_sparsity_include_file():
+def test_sparsity_include_file(capsys):
     proc = run_cli(
         "sparsity", "--ds", "2", "--de", "2", "--samples", "1", "--seed", "4",
         "--lazy-tol", "1e-3", "--include-file", str(GOLDEN / "bell.json"), "--json",
     )
     payload = json.loads(proc.stdout)
     assert payload["count_below_tol"] == 1
+
+    # a purevector file is read as analyze reads it: 2 sqrt(0.8 * 0.2 (0.8 - 0.2)^2) = 0.48
+    path = str(GOLDEN / "schmidt_08_02.json")
+    assert main(["analyze", path, "--json"]) == 0
+    trace_norm = json.loads(capsys.readouterr().out)["commutator"]["trace_norm"]
+    argv = ["sparsity", "--ds", "2", "--de", "2", "--samples", "1", "--include-file", path, "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["max_trace_norm"] == trace_norm == 0.48
 
 
 def test_sparsity_deterministic():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -296,6 +298,19 @@ def test_trajectory_refuses_non_finite_times(bad):
     st = random_full_rank_state(2, 2, 91)
     with pytest.raises(ValueError, match="times must be finite"):
         record_trajectory(st, random_hermitian(4, 92), [0.0, 0.5, bad])
+
+
+@pytest.mark.parametrize("times", [[0.0, 1e308], [-1e308, 0.0, 1.0]])
+def test_trajectory_refuses_times_whose_phases_overflow(times):
+    # finite times with an infinite E t are refused before exp(-i E t) is formed,
+    # with no numpy warning, on the mixed and the pure path; |t| = 1e17 is kept
+    h = random_hermitian(4, 92)
+    for st in (random_full_rank_state(2, 2, 91), pure_state(schmidt_pure_vector([0.8, 0.2]), 2, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^times up to \|t\| = 1e\+308 overflow the phases"):
+                record_trajectory(st, h, times)
+            assert len(record_trajectory(st, h, [0.0, 1e17]).records) == 2
 
 
 def _lam_min_at_edge(dim, seed):

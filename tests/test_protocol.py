@@ -1,3 +1,4 @@
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -22,10 +23,12 @@ from lazylab import (
     validate_density_matrix,
     zero_discord_state,
 )
-from lazylab import decompose_hamiltonian, laziness, operator_norm, protocol
+from lazylab import decompose_hamiltonian, laziness, linalg, operator_norm, protocol, statefile
 from lazylab.states import _draw
 
 from .conftest import _same_bits, random_interaction, schmidt_pure_vector
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def zero_discord_fixture():
@@ -129,6 +132,56 @@ def test_sparsity_scan_counts_injected_lazy_state():
                             include=maximally_entangled(2))
     assert summary.samples == 1
     assert summary.count_below_tol == 1
+
+
+PURE_SCHMIDT = schmidt_pure_vector([0.8, 0.2])
+
+
+@pytest.mark.parametrize("include, lazy", [
+    (pure_state(PURE_SCHMIDT, 2, 2), False),  # built from its vector: a rank-one evaluator
+    (BipartiteState(ds=2, de=2, matrix=np.outer(PURE_SCHMIDT, PURE_SCHMIDT.conj())), False),
+    (maximally_entangled(2), True),  # pure, given as a matrix
+    (BipartiteState(ds=2, de=2, matrix=ginibre_mixed(4, 4, 13)), False),
+    (product_state(ginibre_mixed(2, 2, 14), ginibre_mixed(2, 2, 15)), True),
+], ids=["purevector", "pure-matrix", "bell", "mixed", "lazy-product"])
+def test_an_included_state_reads_as_analyze_reads_it(include, lazy):
+    # with one sample nothing is drawn: every statistic is the included state's own
+    # evaluator's ||C||_1, bit for bit, and a lazy state is still counted
+    norm = laziness_commutator(include).trace_norm
+    summary = sparsity_scan(2, 2, samples=1, rank=4, seed=8, include=include)
+    stats = [summary.median_trace_norm, summary.min_trace_norm, summary.max_trace_norm]
+    assert _same_bits(stats, [norm] * 3)
+    assert summary.count_below_tol == lazy
+
+
+def test_sparsity_scan_checks_and_factorizes_only_drawn_samples(monkeypatch):
+    # a purevector include is checked as a vector when it is loaded, and the scan
+    # then reads it from that evaluator: 5 samples check and factorize 4 matrices
+    counts = Counter()
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def call(a, *args, **kwargs):
+            counts[key] += int(np.prod(np.shape(a)[:-2]))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counting(np.linalg, "cholesky", "cholesky")
+    counting(linalg, "require_hermitian", "hermitian")
+    counting(protocol, "validate_density_matrix", "validated")
+    include = statefile.load_state(GOLDEN / "schmidt_08_02.json")
+    assert counts == {}
+    summary = sparsity_scan(2, 2, samples=5, rank=4, seed=3, include=include)
+    assert counts == {"cholesky": 4, "hermitian": 4, "validated": 4}
+    assert summary.max_trace_norm == 0.48 == laziness_commutator(include).trace_norm
+
+    counts.clear()  # with one sample nothing is drawn, yet a bad rank is still refused
+    sparsity_scan(2, 2, samples=1, rank=4, seed=3, include=include)
+    assert counts == {}
+    with pytest.raises(ValueError, match=r"^rank must be in \[1, 4\], got 9"):
+        sparsity_scan(2, 2, samples=1, rank=9, seed=3, include=include)
 
 
 def test_sparsity_scan_random_states_not_lazy():
@@ -300,13 +353,13 @@ def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
 
     lazy = product_state(ginibre_mixed(ds, ds, 1), ginibre_mixed(de, de, 2))
     for n, include, rank in [(samples, None, dim - 1), (samples, lazy, dim), (1, lazy, dim)]:
-        norms = np.concatenate([
-            laziness._eigenbasis(np.stack([
-                include.matrix if include is not None and t == 0
-                else _ginibre(dim, rank, derive_rng(seed, t))
-                for t in trials
-            ]), ds).comm_trace_norm
-            for trials in laziness._chunks(n, dim**2)
+        # an included state is sample 0, read from its own evaluator; the rest is drawn
+        first = [] if include is None else [laziness._evaluator(include).comm_trace_norm]
+        drawn = [range(max(c.start, len(first)), c.stop) for c in laziness._chunks(n, dim**2)]
+        norms = np.concatenate([first] + [
+            laziness._eigenbasis(np.stack([_ginibre(dim, rank, derive_rng(seed, t)) for t in trials]),
+                                 ds).comm_trace_norm
+            for trials in drawn if trials
         ])
         summary = sparsity_scan(ds, de, n, rank=rank, seed=seed, include=include, bins=4)
         edges = np.linspace(0.0, norms.max() if norms.max() > 0 else 1.0, 5)
@@ -376,6 +429,12 @@ def test_stacked_checks_name_the_failing_trial(monkeypatch, trial):
     monkeypatch.setattr(protocol, "_draw", _fail_at(trial, NOT_PSD, ginibre=True))
     with pytest.raises(ValueError, match=not_psd):
         bound_sweep(3, 2, samples=8, seed=1)  # ds > de: every trial draws a Ginibre state
+
+    if trial > 0:  # with a state included as sample 0 only trials 1..7 are drawn
+        monkeypatch.setattr(protocol, "_draw", _fail_at(trial - 1, NOT_PSD, ginibre=True))
+        with pytest.raises(ValueError, match=not_psd):
+            sparsity_scan(3, 2, samples=8, rank=6, seed=1, include=zero_discord_state(
+                [0.5, 0.3, 0.2], np.eye(3), [ginibre_mixed(2, 2, k) for k in range(3)]))
 
     not_hermitian = np.eye(6, dtype=complex) / 6
     not_hermitian[0, 1] = 1e-6
