@@ -182,13 +182,13 @@ def sparsity_scan(
     if lazy_tol is None:
         lazy_tol = default_lazy_tolerance(ds, de)
     linalg._require_tolerance(lazy_tol, "lazy_tol")
-    dim = ds * de
+    chunks = _chunks(samples, (ds * de) ** 2)  # checks samples before arr is sized
     arr = np.empty(samples)
     if include is not None:  # read, not drawn: it was checked once, when it was built
         arr[0] = _evaluator(include).comm_trace_norm
-    for trials in _chunks(samples, dim**2):
+    for trials in chunks:
         trials = range(max(trials.start, include is not None), trials.stop)  # the drawn ones
-        mats = _draw([derive_rng(seed, trial) for trial in trials], dim, rank)  # checks rank
+        mats = _draw([derive_rng(seed, trial) for trial in trials], ds * de, rank)  # checks rank
         if trials:
             with _naming_trials(trials):
                 mats = validate_density_matrix(mats, name="bipartite state")

@@ -502,6 +502,11 @@ def test_sparsity_include_file(capsys):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["max_trace_norm"] == trace_norm == 0.48
 
+    # a sample count below 1 is refused before the included state is read
+    for samples in ("0", "-1"):
+        assert main([*argv[:6], samples, *argv[7:]]) == 2
+        assert capsys.readouterr() == ("", f"error: samples must be >= 1, got {samples}\n")
+
 
 def test_sparsity_deterministic():
     args = ("sparsity", "--ds", "2", "--de", "2", "--samples", "60", "--seed", "9", "--json")

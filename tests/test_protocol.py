@@ -87,8 +87,10 @@ def test_detect_discord_validates_samples():
 
 
 def test_sparsity_scan_and_bound_sweep_validate_samples():
-    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
-        sparsity_scan(2, 2, samples=0, rank=4, seed=1)
+    bell = maximally_entangled(2)
+    for samples, include in ((0, None), (0, bell), (-1, None), (-1, bell)):
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            sparsity_scan(2, 2, samples=samples, rank=4, seed=1, include=include)
     with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
         bound_sweep(2, 2, samples=0, seed=1)
     for bins in (-1, 0):
