@@ -111,6 +111,10 @@ CLI_GOLDENS = (
     ),
     (("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3"), "detect_schmidt.txt"),
     (
+        ("detect-discord", SCHMIDT, "--samples", "20", "--seed", "3", "--fd", "--json"),
+        "detect_schmidt_fd.json",
+    ),
+    (
         ("detect-discord", ZERODISCORD, "--samples", "20", "--seed", "3", "--json"),
         "detect_zerodiscord.json",
     ),
