@@ -33,6 +33,7 @@ from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
 from .protocol import SweepRow, bound_sweep, detect_discord, sparsity_scan
 from .states import (
     BipartiteState,
+    _require_positive_dims,
     derive_rng,
     ginibre_mixed,
     haar_random_pure,
@@ -116,6 +117,7 @@ def _rate_inputs(args) -> tuple[tuple[int, ...], BipartiteState, HamiltonianTrip
 
 
 def cmd_gen(args) -> str:
+    _require_positive_dims(args.ds, args.de)
     kind = args.kind
     if kind == "bell":
         sf = statefile.from_bipartite(maximally_entangled(2))

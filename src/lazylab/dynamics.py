@@ -20,6 +20,7 @@ from .laziness import (
     _eigenbasis,
     _evaluator,
     _operator_norm_hermitian,
+    _per_matrix,
     _power_sums,
     _RankOne,
     _rate_report,
@@ -27,7 +28,7 @@ from .laziness import (
     _spectral_entropy,
 )
 from .linalg import FD_STEP
-from .states import BipartiteState
+from .states import BipartiteState, _valid_state
 
 
 def _env_diagonal(t: np.ndarray) -> np.ndarray:
@@ -115,9 +116,16 @@ def _decompose(h: np.ndarray, ds: int, de: int) -> HamiltonianTriple:
 
 
 def evolve_exact(rho: BipartiteState, h_tot, t: float) -> BipartiteState:
-    """rho(t) = e^{-i H t} rho e^{i H t} (hbar = 1)."""
-    u = linalg.unitary_from_hamiltonian(h_tot, t)
-    return BipartiteState(ds=rho.ds, de=rho.de, matrix=u @ rho.matrix @ linalg.dagger(u))
+    """rho(t) = e^{-i H t} rho e^{i H t} (hbar = 1), for a finite t whose phases E t stay
+    finite. H_tot and t are checked; U rho U† of the valid rho is kept as built."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    spec = linalg.hermitian_eig(h_tot, name="hamiltonian")
+    e_max = max(abs(float(spec.eigenvalues[0])), abs(float(spec.eigenvalues[-1])))
+    if not math.isfinite(e_max * t):
+        raise ValueError(f"t = {t:g} overflows the phases exp(-i E t), |E| up to {e_max:g}")
+    u = spec.unitary(t)
+    return _valid_state(rho.ds, rho.de, u @ rho.matrix @ linalg.dagger(u))
 
 
 def finite_difference_rate(
@@ -136,30 +144,34 @@ def finite_difference_rate(
     differences the observable, converging as O(h^2).
     ``richardson=True`` combines the h and h/2 stencils into the
     extrapolated (4 f(h/2) - f(h)) / 3 estimate, removing the leading
-    truncation term.
+    truncation term. H_tot is checked and eigensolved once; no state is rebuilt.
     """
     linalg._require_step(h, "step")
     if observable not in ("entropy", "moment"):
         raise ValueError(f"observable must be 'entropy' or 'moment', got {observable!r}")
-    if richardson:
-        coarse = finite_difference_rate(rho, h_tot, observable, n=n, h=h)
-        fine = finite_difference_rate(rho, h_tot, observable, n=n, h=h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-    values = []
-    for st in (evolve_exact(rho, h_tot, h), evolve_exact(rho, h_tot, -h)):
-        lam = np.linalg.eigvalsh(st.rho_s)
-        if observable == "moment":
-            values.append(_power_sums(lam, [n])[n])
+    return _fd_rate(rho, linalg.hermitian_eig(h_tot, name="hamiltonian"), observable, n, h, richardson)
+
+
+def _fd_rate(rho, spec: linalg.HermitianSpectrum, observable, n, h, richardson=False):
+    """finite_difference_rate for the spectrum spec of H_tot (leading axes stack them) and
+    a checked step h, each rho_S read from the Hermitian part of U rho U†, as a state keeps it."""
+    steps = np.array([h, -h, h / 2.0, -h / 2.0] if richardson else [h, -h])
+    t = steps.reshape(-1, *[1] * spec.eigenvalues.ndim)  # the steps lead the stacks
+    u = spec.unitary(t)
+    m = u @ rho.matrix @ linalg.dagger(u)
+    lam = np.linalg.eigvalsh(linalg.partial_trace((m + linalg.dagger(m)) / 2.0, rho.ds, rho.de))
+    if observable == "entropy":
         # near a zero eigenvalue the entropy difference quotient is a poor
         # approximant of a derivative that may not even exist
-        elif lam[0] < linalg.LOG_EIGENVALUE_FLOOR:
-            raise RankDeficientStateError(
-                f"rho_S at t = +-{h:g} has eigenvalue {lam[0]:.3e}; use a "
-                f"smaller step or regularize the state first"
-            )
-        else:
-            values.append(_spectral_entropy(lam))
-    return (values[0] - values[1]) / (2.0 * h)
+        linalg._raise_first(
+            lam[..., 0] < linalg.LOG_EIGENVALUE_FLOOR,
+            RankDeficientStateError,
+            lambda i: f"rho_S at t = +-{abs(steps[i[0]]):g} has eigenvalue {lam[i][0]:.3e}; "
+            "use a smaller step or regularize the state first",
+        )
+    f = _spectral_entropy(lam) if observable == "entropy" else _power_sums(lam, [n])[n]
+    rates = (f[0::2] - f[1::2]) / (2.0 * t[0::2, ..., 0])  # one quotient per stencil
+    return _per_matrix((4.0 * rates[1] - rates[0]) / 3.0 if richardson else rates[0])
 
 
 def record_trajectory(

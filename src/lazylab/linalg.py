@@ -151,10 +151,11 @@ def partial_transpose_system(m, d_system: int, d_env: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     ``eigenvalues`` are real and ascending; column k of ``eigenvectors``
-    belongs to ``eigenvalues[k]`` and the columns are orthonormal.
+    belongs to ``eigenvalues[k]`` and the columns are orthonormal. Leading
+    axes stack matrices, and reconstruct broadcasts the two stacks.
     """
 
     eigenvalues: np.ndarray
@@ -162,7 +163,11 @@ class HermitianSpectrum:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
+
+    def unitary(self, t) -> np.ndarray:
+        """U = exp(-i H t) of this H (hbar = 1); t broadcasts against the eigenvalues."""
+        return HermitianSpectrum(np.exp(-1j * self.eigenvalues * t), self.eigenvectors).reconstruct()
 
 
 def hermitian_eig(h, *, name: str = "matrix") -> HermitianSpectrum:
@@ -245,5 +250,4 @@ def matrix_log(h, *, floor: float = LOG_EIGENVALUE_FLOOR, name: str = "matrix") 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """U = exp(-i h t) via the spectral decomposition (hbar = 1)."""
-    spec = hermitian_eig(h, name="hamiltonian")
-    return HermitianSpectrum(np.exp(-1j * spec.eigenvalues * t), spec.eigenvectors).reconstruct()
+    return hermitian_eig(h, name="hamiltonian").unitary(t)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import decompose_hamiltonian, finite_difference_rate
+from .dynamics import _fd_rate, decompose_hamiltonian
 from .laziness import (
     _chunks,
     _eigenbasis,
@@ -36,6 +36,7 @@ from .states import (
     BipartiteState,
     _draw,
     _is_pure,
+    _require_positive_dims,
     derive_rng,
     haar_random_pure,
     validate_density_matrix,
@@ -139,9 +140,11 @@ def detect_discord(
     for trials in _chunks(samples, rho.dim**2):
         with _naming_trials(trials):
             hs = _unit_couplings(rho.dim, rho.ds, rho.de, [derive_rng(seed, t) for t in trials])
+            # the decomposed couplings are exactly Hermitian: no second check
             if use_fd:
-                rates.extend(finite_difference_rate(rho, h, "moment", n=2, h=fd_step) for h in hs)
-            else:  # the decomposed couplings are exactly Hermitian: no second check
+                spec = linalg.HermitianSpectrum(*np.linalg.eigh(hs))
+                rates.extend(_fd_rate(rho, spec, "moment", 2, fd_step).tolist())
+            else:
                 ev = _evaluator(rho)
                 rates.extend(_flow_rate(ev, ev.flow(hs), 2).tolist())
     max_abs = max(abs(r) for r in rates)
@@ -172,6 +175,7 @@ def sparsity_scan(
     of laziness_commutator) is the headline number; lazy states occupy measure
     zero under this sampling, so the expected count is zero. ``bins`` >= 1.
     """
+    _require_positive_dims(ds, de)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if include is not None and (include.ds, include.de) != (ds, de):
@@ -221,6 +225,7 @@ def bound_sweep(ds: int, de: int, samples: int, seed: int) -> list[SweepRow]:
     ||H_int|| = 1 by construction, and a pure row's I(S:E) is 2 S(rho_S),
     read from that evaluator's spectrum.
     """
+    _require_positive_dims(ds, de)
     dim = ds * de
     rows = []
     for trials in _chunks(samples, dim**2):

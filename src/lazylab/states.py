@@ -67,6 +67,12 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     return mat
 
 
+def _require_positive_dims(ds: int, de: int) -> None:
+    """Refuse subsystem dimensions ds, de unless both are >= 1."""
+    if ds < 1 or de < 1:
+        raise ValueError("subsystem dimensions must be positive")
+
+
 def _is_pure(purity, tol: float = PURITY_TOL):
     """The pure verdict tr rho^2 > 1 - tol, for one purity tr rho^2 or an array of them."""
     return purity > 1.0 - tol
@@ -86,8 +92,7 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.ds < 1 or self.de < 1:
-            raise ValueError("subsystem dimensions must be positive")
+        _require_positive_dims(self.ds, self.de)
         mat = validate_density_matrix(self.matrix, name="bipartite state")
         if mat.ndim != 2:
             raise ValueError(f"bipartite state must be one matrix, got shape {mat.shape}")
@@ -167,41 +172,36 @@ def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
 def pure_state(chi, ds: int, de: int) -> BipartiteState:
     """|chi><chi| as a BipartiteState, chi checked as a vector only: finite, of length
     ds*de and with |<chi|chi> - 1| <= NORM_TOL. |chi><chi| is then a product of accepted
-    factors, kept as _composite keeps one, and the state keeps chi's own evaluator."""
+    factors, kept as _valid_state keeps one, and the state keeps chi's own evaluator."""
     from .laziness import _eigenbasis  # laziness imports this module
     vec = _unit_vector(chi, ds, de).copy()
-    if ds < 1 or de < 1:
-        raise ValueError("subsystem dimensions must be positive")
+    _require_positive_dims(ds, de)
     return _valid_state(ds, de, np.outer(vec, vec.conj()), _eigenbasis(vec, ds, vectors=True))
 
 
-def _valid_state(ds: int, de: int, mat: np.ndarray, ev) -> BipartiteState:
-    """mat, valid by construction, as _composite keeps it, seeded with its evaluator ev."""
-    state = object.__new__(BipartiteState)
-    vars(state).update(ds=ds, de=de, matrix=_composite(mat), _evaluator=ev)
-    return state
+def _valid_state(ds: int, de: int, mat: np.ndarray, ev=None) -> BipartiteState:
+    """A product, mixture or unitary conjugation of accepted parts, kept as a state
+    with its evaluator ev (or one built on first use) and not checked again.
 
-
-def _composite(mat: np.ndarray) -> np.ndarray:
-    """A product or mixture of accepted factors, brought within one state's rules.
-
-    Each factor may miss Hermiticity, unit trace (or unit norm, or a unit
+    Each part may miss Hermiticity, unit trace (or unit norm, or a unit
     sum of probabilities) by its own tolerance, and the composite adds those
-    errors up. Its Hermitian part is mat itself when the factors are
-    Hermitian, and it is divided by its trace only when that is off by more
-    than DENSITY_TOL, so a composite that was accepted as it stood keeps its
-    entries.
+    errors up. It is kept as its Hermitian part, mat itself when the parts
+    are Hermitian, divided by its trace only when that is off by more than
+    DENSITY_TOL, so a composite that was accepted as it stood keeps its entries.
     """
     mat = (mat + linalg.dagger(mat)) / 2
     tr = mat.trace().real
-    return mat / tr if abs(tr - 1.0) > DENSITY_TOL else mat
+    mat = mat / tr if abs(tr - 1.0) > DENSITY_TOL else mat
+    state = object.__new__(BipartiteState)
+    vars(state).update(ds=ds, de=de, matrix=mat, _evaluator=ev)
+    return state
 
 
 def product_state(rho_s, rho_e) -> BipartiteState:
-    """rho_s (x) rho_e; the reduced states reproduce the factors."""
+    """rho_s (x) rho_e of the checked factors, kept as built; rho_S, rho_E reproduce them."""
     s = validate_density_matrix(rho_s, name="system factor")
     e = validate_density_matrix(rho_e, name="environment factor")
-    return BipartiteState(ds=s.shape[0], de=e.shape[0], matrix=_composite(linalg.kron(s, e)))
+    return _valid_state(s.shape[0], e.shape[0], linalg.kron(s, e))
 
 
 def haar_random_pure(d: int, seed) -> np.ndarray:
@@ -265,7 +265,7 @@ def random_hermitian(d: int, seed) -> np.ndarray:
 
 
 def maximally_entangled(d: int) -> BipartiteState:
-    """(1/sqrt(d)) sum_i |ii> as a density matrix; rho_s = I/d."""
+    """(1/sqrt(d)) sum_i |ii> as a density matrix, valid as built; rho_s = I/d."""
     if d < 2:
         raise ValueError("maximally entangled states need dimension >= 2")
     mat = np.zeros((d * d, d * d), dtype=complex)
@@ -273,7 +273,7 @@ def maximally_entangled(d: int) -> BipartiteState:
     for i in diag:
         for j in diag:
             mat[i, j] = 1.0 / d
-    return BipartiteState(ds=d, de=d, matrix=mat)
+    return _valid_state(d, d, mat)
 
 
 def zero_discord_state(
@@ -285,7 +285,7 @@ def zero_discord_state(
 
     ``basis`` must be orthonormal vectors on the system space, one per
     probability; ``env_states`` are density matrices on a common
-    environment space.
+    environment space, each checked; the mixture is kept as built.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -308,8 +308,7 @@ def zero_discord_state(
 
     # entry (i, a), (k, b) of sum_j p_j |b_j><b_j| (x) rho_j, with b_j the column vecs[:, j]
     mat = np.einsum("j,ij,kj,jab->iakb", p, vecs, vecs.conj(), np.stack(envs))
-    mat = mat.reshape(ds * de, ds * de)
-    return BipartiteState(ds=ds, de=de, matrix=_composite(mat))
+    return _valid_state(ds, de, mat.reshape(ds * de, ds * de))
 
 
 def schmidt_decompose(chi, ds: int, de: int, cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:

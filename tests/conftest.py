@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lazylab import (
     ginibre_mixed,
     haar_random_pure,
     haar_random_unitary,
+    linalg,
     pure_state,
     random_hermitian,
 )
@@ -84,3 +87,21 @@ def lazy_block_state(blocks, de, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """A Counter of the calls made to linalg.require_hermitian ("hermitian"),
+    np.linalg.eigh ("eigh") and np.linalg.cholesky ("cholesky"), one per call."""
+    counts = Counter()
+    for module, name, key in (
+        (linalg, "require_hermitian", "hermitian"),
+        (np.linalg, "eigh", "eigh"),
+        (np.linalg, "cholesky", "cholesky"),
+    ):
+        def call(*args, _real=getattr(module, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+    return counts

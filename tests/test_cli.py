@@ -76,6 +76,10 @@ def test_gen_invalid_params_exit_2():
     assert proc.returncode == 2
     proc = run_cli("gen", "zerodiscord", "--probs", "0.7,0.7", check=False)
     assert proc.returncode == 2
+    for kind, ds, de in (("ginibre", "2", "0"), ("product", "0", "2")):
+        proc = run_cli("gen", kind, "--ds", ds, "--de", de, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: subsystem dimensions must be positive\n"
 
 
 def test_gen_unknown_kind_exit_2():

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lazylab import (
     RankDeficientStateError,
     decompose_hamiltonian,
     derive_rng,
+    dynamics,
     entropy_rate,
     evolve_exact,
     finite_difference_rate,
@@ -25,6 +27,7 @@ from lazylab import (
     random_hermitian,
     rate_bounds,
     record_trajectory,
+    regularize_state,
     von_neumann_entropy,
 )
 from lazylab.dynamics import TrajectoryRecord
@@ -34,6 +37,7 @@ from lazylab.linalg import DENSITY_TOL
 from .conftest import (
     SIGMA_X,
     SIGMA_Z,
+    _same_bits,
     random_full_rank_state,
     random_pure_bipartite,
     schmidt_pure_vector,
@@ -204,21 +208,110 @@ def test_fd_entropy_advises_on_rank_deficiency():
 
 
 def test_fd_diagonalizes_each_evolved_rho_s_once(monkeypatch):
-    # one eigvalsh per evolved state serves both the floor check and the entropy
+    # one eigh of H_tot per call, Richardson's four evolutions included, and one
+    # eigvalsh per evolved state serves both the floor check and the entropy
     ds, de = 2, 3
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    matrices = Counter()
 
-    def counting(a, *args, **kwargs):
-        if np.shape(a)[-2:] == (ds, ds):
-            calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            matrices[name, np.shape(a)[-1]] += int(np.prod(np.shape(a)[:-2]))
+            return real(a, *args, **kwargs)
+
+        return call
 
     st = random_full_rank_state(ds, de, 41)
     h_tot = random_hermitian(ds * de, 42)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    finite_difference_rate(st, h_tot, "entropy")
-    assert len(calls) == 2
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    for richardson, evolved in ((False, 2), (True, 4)):
+        matrices.clear()
+        finite_difference_rate(st, h_tot, "entropy", richardson=richardson)
+        assert matrices == {("eigh", ds * de): 1, ("eigvalsh", ds): evolved}
+
+
+def test_fd_and_evolve_check_and_split_h_tot_once(checks):
+    # the Richardson rate evolved four rebuilt states (8 Hermiticity checks, 4 eigh,
+    # 4 Cholesky) and evolve_exact checked its result again (2, 1, 1)
+    st = pure_state(schmidt_pure_vector([0.8, 0.2]), 2, 2)
+    rho, h_tot = regularize_state(st, 0.1), random_hermitian(4, 7)
+    for call in (
+        lambda: finite_difference_rate(rho, h_tot, "entropy", richardson=True),
+        lambda: evolve_exact(st, h_tot, 0.3),
+    ):
+        checks.clear()
+        call()
+        assert (checks["hermitian"], checks["eigh"], checks["cholesky"]) == (1, 1, 0)
+
+
+def _fd_reference(st, h_tot, observable, n, h):
+    """The central difference over two evolved states: evolve_exact to +-h, then the
+    eigvalsh of each rho_S."""
+    f = []
+    for t in (h, -h):
+        lam = np.linalg.eigvalsh(evolve_exact(st, h_tot, t).rho_s)
+        if observable == "entropy":
+            f.append(laziness._spectral_entropy(lam))
+        else:
+            f.append(laziness._power_sums(lam, [n])[n])
+    return (f[0] - f[1]) / (2.0 * h)
+
+
+@pytest.mark.parametrize("observable, n", [("entropy", 2), ("moment", 2), ("moment", 3)])
+def test_fd_equals_the_stencil_of_evolved_states_bit_for_bit(observable, n):
+    states = (
+        pure_state(schmidt_pure_vector([0.7, 0.3], seed=3), 2, 2),
+        random_full_rank_state(2, 3, 81),
+        BipartiteState(ds=3, de=2, matrix=ginibre_mixed(6, 4, 82)),
+        regularize_state(random_pure_bipartite(3, 3, 83), 0.05),
+    )
+    for k, st in enumerate(states):
+        h_tot = random_hermitian(st.dim, 90 + k)
+        for h in (1e-5, 1e-3):
+            coarse = _fd_reference(st, h_tot, observable, n, h)
+            fine = _fd_reference(st, h_tot, observable, n, h / 2.0)
+            rate = finite_difference_rate(st, h_tot, observable, n=n, h=h)
+            extrapolated = finite_difference_rate(st, h_tot, observable, n=n, h=h, richardson=True)
+            assert type(rate) is float and rate == coarse
+            assert type(extrapolated) is float and extrapolated == (4.0 * fine - coarse) / 3.0
+
+
+def test_fd_of_stacked_hamiltonians_equals_each_ones_bit_for_bit():
+    st = random_full_rank_state(2, 3, 84)
+    hs = np.stack([random_hermitian(6, 850 + k) for k in range(6)])  # n = dim
+    spec = linalg.hermitian_eig(hs)
+    for observable, n in (("entropy", 2), ("moment", 2), ("moment", 3)):
+        for richardson in (False, True):
+            rates = dynamics._fd_rate(st, spec, observable, n, 1e-4, richardson)
+            singles = [
+                finite_difference_rate(st, h, observable, n=n, h=1e-4, richardson=richardson)
+                for h in hs
+            ]
+            assert _same_bits(rates, singles)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (np.inf, r"^t must be finite, got inf$"),
+        (-np.inf, r"^t must be finite, got -inf$"),
+        (np.nan, r"^t must be finite, got nan$"),
+        (1e308, r"^t = 1e\+308 overflows the phases exp\(-i E t\), \|E\| up to "),
+        (-1e308, r"^t = -1e\+308 overflows the phases exp\(-i E t\), \|E\| up to "),
+    ],
+)
+def test_evolve_exact_refuses_a_time_it_cannot_evolve_to(t, message):
+    # refused before any phase is formed: no numpy warning, which tier-1 turns into an error
+    st = random_full_rank_state(2, 2, 86)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            evolve_exact(st, random_hermitian(4, 87), t)
+        # with no energy to multiply, a huge finite time is a phase of 0
+        if np.isfinite(t):
+            assert _same_bits(evolve_exact(st, np.zeros((4, 4)), t).matrix, st.matrix)
 
 
 # ------------------------------------------------------------ trajectory

@@ -239,6 +239,19 @@ def test_pinch_dimension_mismatch():
         spectral_pinch(st, replace(proj, projectors=proj.projectors[:1]))
 
 
+def test_a_pinch_whose_trace_is_off_by_1e_8_is_refused():
+    # projectors need resolve the identity only to PROJECTOR_TOL = 1e-8, looser than a
+    # state's trace rule, so a pinch is checked as any BipartiteState is
+    st = random_full_rank_state(2, 2, 46)
+    scale = 1.0 + 0.7e-8  # ||sum_j P_j - I||_F = 0.99e-8; the pinch's trace is 1 + 1.4e-8
+    proj = replace(spectral_projection(np.diag([0.7, 0.3])),
+                   projectors=(np.diag([scale, 0.0]), np.diag([0.0, scale])))
+    with pytest.raises(ValueError, match="^bipartite state has trace"):
+        spectral_pinch(st, proj)
+    with pytest.raises(ValueError, match="^bipartite state has trace"):
+        BipartiteState(ds=2, de=2, matrix=st.matrix * (1.0 + 1e-8))
+
+
 def test_pinching_residual_lazy_cases():
     assert pinching_residual(product_state(ginibre_mixed(2, 2, 3), ginibre_mixed(2, 2, 4))) < 1e-10
     assert pinching_residual(maximally_entangled(2)) < 1e-12

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from lazylab import BipartiteState, decompose_hamiltonian, linalg, moment_rate
 from lazylab.states import random_hermitian
 
-from .conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, _same_bits
 
 
 def test_kron_identities():
@@ -136,6 +136,18 @@ def test_hermitian_eig_reconstruction_gue(d):
         assert err < 1e-10
         assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < 1e-10
         assert np.all(np.diff(spec.eigenvalues) >= 0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_stack_of_spectra_reconstructs_each_matrix_bit_for_bit(n):
+    # the eigenvalues broadcast along the last axis, also when the stack of n = d
+    # spectra has the shape of one d x d eigenvector matrix
+    hs = np.stack([random_hermitian(3, 300 + k) for k in range(n)])
+    spec = linalg.hermitian_eig(hs)
+    unitaries = linalg.unitary_from_hamiltonian(hs, 0.7)
+    for k, h in enumerate(hs):
+        assert _same_bits(spec.reconstruct()[k], linalg.hermitian_eig(h).reconstruct())
+        assert _same_bits(unitaries[k], linalg.unitary_from_hamiltonian(h, 0.7))
 
 
 def test_hermitian_eig_rejects_non_hermitian():

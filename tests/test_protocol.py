@@ -10,6 +10,7 @@ from lazylab import (
     bound_sweep,
     derive_rng,
     detect_discord,
+    finite_difference_rate,
     ginibre_mixed,
     haar_random_pure,
     laziness_commutator,
@@ -73,6 +74,16 @@ def test_detect_discord_fd_mode_tracks_analytic():
         assert abs(a - b) < 1e-6
 
 
+def test_detect_discord_checks_and_splits_each_coupling_once(checks):
+    # one stacked check and one stacked eigh of the couplings, with or without --fd;
+    # the finite differences checked, split and rebuilt states per coupling (21, 10, 10)
+    st = pure_state(schmidt_pure_vector([0.8, 0.2]), 2, 2)
+    for use_fd, eigh in ((True, 1), (False, 0)):
+        checks.clear()
+        detect_discord(st, samples=5, seed=1, use_fd=use_fd)
+        assert (checks["hermitian"], checks["eigh"], checks["cholesky"]) == (1, eigh, 0)
+
+
 def test_detect_discord_never_fires_below_lazy_tolerance():
     # no false positives relative to laziness
     for st in (zero_discord_fixture(), maximally_entangled(3),
@@ -87,6 +98,12 @@ def test_detect_discord_validates_samples():
 
 
 def test_sparsity_scan_and_bound_sweep_validate_samples():
+    for ds, de in ((0, 2), (2, 0), (-1, -1), (-2, 2)):
+        # refused before any sample is counted, drawn or tolerance derived from the dims
+        with pytest.raises(ValueError, match="^subsystem dimensions must be positive$"):
+            sparsity_scan(ds, de, samples=3, rank=1, seed=1)
+        with pytest.raises(ValueError, match="^subsystem dimensions must be positive$"):
+            bound_sweep(ds, de, samples=2, seed=1)
     bell = maximally_entangled(2)
     for samples, include in ((0, None), (0, bell), (-1, None), (-1, bell)):
         with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
@@ -352,6 +369,13 @@ def test_chunked_draws_match_per_trial_draws_bit_for_bit(monkeypatch, ds, de):
         hs = _reference_couplings(ds, de, [derive_rng(seed, t) for t in trials])
         rates += moment_rate(state, hs, 2).tolist()
     assert _same_bits(detect_discord(state, samples, seed).per_sample_rates, rates)
+    # the finite differences of each chunk's stacked couplings are each coupling's own
+    fd = [
+        finite_difference_rate(state, h, "moment", n=2)
+        for trials in chunks
+        for h in _reference_couplings(ds, de, [derive_rng(seed, t) for t in trials])
+    ]
+    assert _same_bits(detect_discord(state, samples, seed, use_fd=True).per_sample_rates, fd)
 
     lazy = product_state(ginibre_mixed(ds, ds, 1), ginibre_mixed(de, de, 2))
     for n, include, rank in [(samples, None, dim - 1), (samples, lazy, dim), (1, lazy, dim)]:

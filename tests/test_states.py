@@ -280,6 +280,28 @@ def test_a_vector_built_state_is_checked_as_a_vector(source, tmp_path, monkeypat
     assert _same_bits(validate_density_matrix(st.matrix), st.matrix)
 
 
+def test_states_built_from_checked_parts_are_kept_as_built(checks):
+    # each factor is checked once and the state built from them is not checked again
+    # (the state's own check made it 3 and 3 for two factors, 1 and 1 for maxent); its
+    # matrix is the one a BipartiteState of it keeps, and its evaluator is built on use
+    plus = np.array([1.0, 1.0j]) / np.sqrt(2)
+    builds = (
+        (lambda: product_state(np.eye(2) / 2, np.eye(2) / 2), 2),
+        (lambda: product_state(ginibre_mixed(2, 1, 71), ginibre_mixed(3, 2, 72)), 2),
+        (lambda: zero_discord_state(
+            [0.3, 0.7], [plus, plus.conj()], [ginibre_mixed(3, 2, 73), ginibre_mixed(3, 3, 74)]
+        ), 2),
+        (lambda: maximally_entangled(3), 0),
+    )
+    for build, factors in builds:
+        checks.clear()
+        st = build()
+        assert (checks["hermitian"], checks["cholesky"]) == (factors, factors)
+        kept = BipartiteState(ds=st.ds, de=st.de, matrix=st.matrix)
+        assert _same_bits(st.matrix, kept.matrix)
+        assert laziness_commutator(st).trace_norm == laziness_commutator(kept).trace_norm
+
+
 def test_pure_state_keeps_its_own_copy_and_checks_its_dims():
     chi = haar_random_pure(4, 2203)
     st = pure_state(chi, 2, 2)
@@ -363,8 +385,8 @@ def test_spectral_projection_invariants():
 
 
 def test_factory_outputs_pass_invariants():
-    # every factory output must satisfy the density/bipartite invariants;
-    # construction itself validates, so building is the assertion
+    # every factory output must satisfy the density/bipartite invariants; a state
+    # built from a matrix validates itself, so building it is the assertion
     n = 0
     for trial in range(50):
         ds = 2 + trial % 3
@@ -374,14 +396,17 @@ def test_factory_outputs_pass_invariants():
         # a vector-built state is checked as a vector; its matrix must pass the full check
         pure = pure_state(haar_random_pure(ds * de, derive_rng(31338, trial)), ds, de)
         validate_density_matrix(pure.matrix)
-        product_state(ginibre_mixed(ds, ds, derive_rng(31339, trial)),
-                      ginibre_mixed(de, de, derive_rng(31340, trial)))
+        # so must those built from checked parts, which are kept as built
+        product = product_state(ginibre_mixed(ds, ds, derive_rng(31339, trial)),
+                                ginibre_mixed(de, de, derive_rng(31340, trial)))
+        validate_density_matrix(product.matrix)
         basis = [np.eye(ds, dtype=complex)[:, j] for j in range(ds)]
         probs = np.full(ds, 1.0 / ds)
         envs = [ginibre_mixed(de, de, derive_rng(31341, trial, j)) for j in range(ds)]
-        zero_discord_state(probs, basis, envs)
-        n += 4
-    assert n == 200
+        validate_density_matrix(zero_discord_state(probs, basis, envs).matrix)
+        validate_density_matrix(maximally_entangled(ds).matrix)
+        n += 5
+    assert n == 250
 
 
 def _off_hermitian(m: np.ndarray, seed: int) -> np.ndarray:
