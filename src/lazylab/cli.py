@@ -25,8 +25,8 @@ from .laziness import (
     RankDeficientStateError,
     _commutator_norms,
     _moment_order,
+    _optional_weight,
     _rate_bounds,
-    _require_weight,
     correlation_measures,
 )
 from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
@@ -103,8 +103,7 @@ def _rate_inputs(args) -> tuple[tuple[int, ...], BipartiteState, HamiltonianTrip
             f"--moments must be comma-separated integers >= 1, got {args.moments!r}"
         ) from None
     ns = tuple(map(_moment_order, orders))
-    if args.regularize is not None:
-        _require_weight(args.regularize)
+    _optional_weight(args.regularize)
     state = statefile.load_state(args.state)
     if args.hamiltonian is None:
         return ns, state, None

@@ -7,7 +7,6 @@ only by the O(h^2) truncation of the stencil, not by integrator error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,9 @@ from .laziness import (
     _Eigenbasis,
     _eigenbasis,
     _evaluator,
+    _moment_order,
     _operator_norm_hermitian,
+    _optional_weight,
     _per_matrix,
     _power_sums,
     _RankOne,
@@ -115,16 +116,18 @@ def _decompose(h: np.ndarray, ds: int, de: int) -> HamiltonianTriple:
     )
 
 
+def _spectrum(h_tot, rho: BipartiteState) -> linalg.HermitianSpectrum:
+    """H_tot's spectrum, H_tot checked Hermitian and of rho's dims (as decompose_hamiltonian) first."""
+    h = linalg._require_dims(linalg.require_hermitian(h_tot, name="h_tot"), rho.ds, rho.de, "h_tot")
+    return linalg.HermitianSpectrum(*np.linalg.eigh(h))
+
+
 def evolve_exact(rho: BipartiteState, h_tot, t: float) -> BipartiteState:
     """rho(t) = e^{-i H t} rho e^{i H t} (hbar = 1), for a finite t whose phases E t stay
     finite. H_tot and t are checked; U rho U† of the valid rho is kept as built."""
-    if not math.isfinite(t):
+    if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    spec = linalg.hermitian_eig(h_tot, name="hamiltonian")
-    e_max = max(abs(float(spec.eigenvalues[0])), abs(float(spec.eigenvalues[-1])))
-    if not math.isfinite(e_max * t):
-        raise ValueError(f"t = {t:g} overflows the phases exp(-i E t), |E| up to {e_max:g}")
-    u = spec.unitary(t)
+    u = _spectrum(h_tot, rho).unitary(t)
     return _valid_state(rho.ds, rho.de, u @ rho.matrix @ linalg.dagger(u))
 
 
@@ -144,17 +147,19 @@ def finite_difference_rate(
     differences the observable, converging as O(h^2).
     ``richardson=True`` combines the h and h/2 stencils into the
     extrapolated (4 f(h/2) - f(h)) / 3 estimate, removing the leading
-    truncation term. H_tot is checked and eigensolved once; no state is rebuilt.
+    truncation term. The inputs are checked once, before H_tot's one eigh (``n`` for "moment"
+    only), the steps' phases after it; no state is rebuilt.
     """
     linalg._require_step(h, "step")
     if observable not in ("entropy", "moment"):
         raise ValueError(f"observable must be 'entropy' or 'moment', got {observable!r}")
-    return _fd_rate(rho, linalg.hermitian_eig(h_tot, name="hamiltonian"), observable, n, h, richardson)
+    n = _moment_order(n) if observable == "moment" else n
+    return _fd_rate(rho, _spectrum(h_tot, rho), observable, n, h, richardson)
 
 
 def _fd_rate(rho, spec: linalg.HermitianSpectrum, observable, n, h, richardson=False):
-    """finite_difference_rate for the spectrum spec of H_tot (leading axes stack them) and
-    a checked step h, each rho_S read from the Hermitian part of U rho U†, as a state keeps it."""
+    """finite_difference_rate for the spectrum spec of H_tot (leading axes stack them), checked h
+    and n, each rho_S read from the Hermitian part of U rho U†, as a state keeps it."""
     steps = np.array([h, -h, h / 2.0, -h / 2.0] if richardson else [h, -h])
     t = steps.reshape(-1, *[1] * spec.eigenvalues.ndim)  # the steps lead the stacks
     u = spec.unitary(t)
@@ -170,7 +175,7 @@ def _fd_rate(rho, spec: linalg.HermitianSpectrum, observable, n, h, richardson=F
             "use a smaller step or regularize the state first",
         )
     f = _spectral_entropy(lam) if observable == "entropy" else _power_sums(lam, [n])[n]
-    rates = (f[0::2] - f[1::2]) / (2.0 * t[0::2, ..., 0])  # one quotient per stencil
+    rates = (f[0::2] - f[1::2]) / t[0::2, ..., 0] / 2.0  # one quotient per stencil; 2h may overflow
     return _per_matrix((4.0 * rates[1] - rates[0]) / 3.0 if richardson else rates[0])
 
 
@@ -199,9 +204,9 @@ def record_trajectory(
     matrices V (rho_h ∘ Φ) V† = W rho_h W†, Φ_kl = φ_k conj(φ_l), formed
     against the fixed V and V† in chunks of 2^14 / dim^2 steps (4 at dim 64).
 
-    Only the inputs are checked, once: rho0 when it was built, H_tot by
-    decompose_hamiltonian, the times here (finite, ascending) and, against
-    the energies, where each phase E t must stay finite. What is
+    Only the inputs are checked, once: rho0 when it was built, the times (finite, ascending),
+    ``ns`` and ``regularize`` here, H_tot by decompose_hamiltonian and, against its energies,
+    where each phase E t must stay finite, the times by linalg._require_phases. What is
     derived from them is not checked again: the reassembled H_tot is
     Hermitian by construction, and each step's V (rho_h ∘ Φ) V† is Hermitian
     to roundoff, its rho_S and rho' symmetrized where they are eigensolved.
@@ -215,18 +220,14 @@ def record_trajectory(
         raise ValueError("times must be finite")
     if np.any(np.diff(ts) < 0):
         raise ValueError("times must be sorted ascending")
+    ns, regularize = tuple(map(_moment_order, ns)), _optional_weight(regularize)
     return _record_trajectory(rho0, decompose_hamiltonian(h_tot, rho0.ds, rho0.de), ts, ns, regularize)
 
 
 def _record_trajectory(rho0, triple: HamiltonianTriple, ts, ns, regularize) -> Trajectory:
-    """record_trajectory of H_tot's split triple at the 1-D array ts of finite ascending times."""
+    """record_trajectory of H_tot's split triple at the checked 1-D ts, ns and regularize."""
     energies, v = np.linalg.eigh(triple.reassemble())
-    # both are ascending, so the largest |E t| is read at their ends
-    e_max, t_max = (max(abs(float(x[0])), abs(float(x[-1]))) for x in (energies, ts))
-    if not math.isfinite(e_max * t_max):
-        raise ValueError(
-            f"times up to |t| = {t_max:g} overflow the phases exp(-i E t), |E| up to {e_max:g}"
-        )
+    linalg._require_phases(energies, ts)
     h_norm = _operator_norm_hermitian(triple.h_int)
     vd = linalg.dagger(v)
     ev0 = _evaluator(rho0)

@@ -442,9 +442,14 @@ def _require_weight(d) -> float:
     return d
 
 
+def _optional_weight(d) -> float | None:
+    """d, refused unless it is None (no regularization) or a weight _require_weight accepts."""
+    return d if d is None else _require_weight(d)
+
+
 def _regularized(ev: _Eigenbasis, d: float | None) -> _Eigenbasis:
-    """The evaluator of (1-d) rho_SE + d I/dim derived from rho_SE's ev; ev if d is None."""
-    return ev if d is None else _Regularized.of(ev, _require_weight(d))
+    """The evaluator of (1-d) rho_SE + d I/dim derived from rho_SE's ev, d checked; ev if d is None."""
+    return ev if d is None else _Regularized.of(ev, d)
 
 
 def _evaluator(rho: BipartiteState) -> _Eigenbasis:
@@ -469,7 +474,7 @@ def _moment_order(n) -> int:
 
 
 def _power_sums(lam: np.ndarray, ns) -> dict[int, float]:
-    return {n: _per_matrix((lam**n).sum(axis=-1)) for n in map(_moment_order, ns)}
+    return {n: _per_matrix((lam**n).sum(axis=-1)) for n in ns}
 
 
 def von_neumann_entropy(rho) -> float:
@@ -480,6 +485,7 @@ def von_neumann_entropy(rho) -> float:
 
 def moments(rho, ns) -> dict[int, float]:
     """tr(rho^N) for each requested power N >= 1."""
+    ns = tuple(map(_moment_order, ns))
     mat = linalg.require_hermitian(rho, name="rho")
     return _power_sums(np.linalg.eigvalsh(mat), ns)
 
@@ -572,7 +578,7 @@ def _check_h_int(h_int, ds: int, de: int) -> np.ndarray:
 
 
 def _flow_rate(ev: _Eigenbasis, flow: np.ndarray, n=None):
-    """d/dt tr g(rho_S) = sum_i (g'(lam_i) - g'(lam_0)) f_i for g = -x ln x, or x^n.
+    """d/dt tr g(rho_S) = sum_i (g'(lam_i) - g'(lam_0)) f_i for g = -x ln x, or x^n (n checked).
 
     The g'(lam_0) reference is exact because sum_i f_i = tr d rho_S/dt = 0;
     it makes the rate exactly 0 wherever g' is constant on the spectrum
@@ -581,7 +587,6 @@ def _flow_rate(ev: _Eigenbasis, flow: np.ndarray, n=None):
     if n is None:  # g' = -ln x - 1, whose constant drops out
         g_prime, what = -ev.ln_lam, "entropy rate"
     else:
-        n = _moment_order(n)
         g_prime, what = n * ev.lam ** (n - 1), f"moment-{n} rate"
     return _require_real(((g_prime - g_prime[..., :1]) * flow).sum(axis=-1), what=what)
 
@@ -613,7 +618,7 @@ def entropy_rate(rho: BipartiteState, h_int, regularize: float | None = None) ->
     evaluated from the reduced flow as -sum_i ln(lam_i) f_i.
     """
     h = _check_h_int(h_int, rho.ds, rho.de)
-    ev = _regularized(_evaluator(rho), regularize)
+    ev = _regularized(d=_optional_weight(regularize), ev=_evaluator(rho))
     return _flow_rate(ev, ev.flow(h))
 
 
@@ -648,13 +653,14 @@ def rate_bounds(
     purity_bound = 2 ||H_int|| ||C||_1, and for pure total states also
     mi_purity_bound = 4 ||H_int|| sqrt(2 I). With ``regularize`` every
     field describes the regularized state, so mi_purity_bound is None
-    unless that state is still pure by is_pure.
+    unless that state is still pure by is_pure. Every input is checked first.
     """
-    return _rate_bounds(rho, _check_h_int(h_int, rho.ds, rho.de), ns, regularize)
+    h = _check_h_int(h_int, rho.ds, rho.de)
+    return _rate_bounds(rho, h, tuple(map(_moment_order, ns)), _optional_weight(regularize))
 
 
 def _rate_bounds(rho: BipartiteState, h: np.ndarray, ns, regularize) -> RateReport:
-    """rate_bounds for an h_int checked already, as a checked H_tot's split is."""
+    """rate_bounds for an h_int (as a checked H_tot's split is), ns and regularize checked already."""
     h_norm = _operator_norm_hermitian(h)
     ev = _regularized(_evaluator(rho), regularize)
     mi = _mi_purity_bound(ev.mutual_information, h_norm) if _is_pure(ev.purity) else None
@@ -677,7 +683,7 @@ def witness_hamiltonian(
     interaction term without local components. With ``regularize`` the
     witness and prediction refer to the regularized state.
     """
-    basis = _regularized(_evaluator(rho), regularize)
+    basis = _regularized(d=_optional_weight(regularize), ev=_evaluator(rho))
     ik = basis.i_commutator(basis.ln_lam)
     h_int = basis.unrotate(ik)
     h_int = (h_int + linalg.dagger(h_int)) / 2

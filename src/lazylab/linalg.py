@@ -82,6 +82,13 @@ def _raise_first(bad, exc_type: type[Exception], message: Callable[[tuple], str]
     raise exc
 
 
+def _require_phases(energies, times) -> None:
+    """Refuse times whose phases exp(-i E t) overflow: the largest |E| |t| must be finite."""
+    e_max, t_max = (float(np.abs(x).max(initial=0.0)) for x in (energies, times))
+    if not np.isfinite(e_max * t_max):  # a product of Python floats: inf, never a warning
+        raise ValueError(f"times up to |t| = {t_max:g} overflow the phases exp(-i E t), |E| up to {e_max:g}")
+
+
 def _frobenius(m: np.ndarray):
     """||m||_F of each matrix in m, a scalar for a single matrix."""
     return np.linalg.norm(m) if m.ndim == 2 else np.linalg.norm(m, axis=(-2, -1))
@@ -166,7 +173,8 @@ class HermitianSpectrum:
         return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
     def unitary(self, t) -> np.ndarray:
-        """U = exp(-i H t) of this H (hbar = 1); t broadcasts against the eigenvalues."""
+        """U = exp(-i H t) of this H (hbar = 1), refused if a phase E t overflows; t broadcasts."""
+        _require_phases(self.eigenvalues, t)
         return HermitianSpectrum(np.exp(-1j * self.eigenvalues * t), self.eigenvectors).reconstruct()
 
 

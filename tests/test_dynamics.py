@@ -298,8 +298,8 @@ def test_fd_of_stacked_hamiltonians_equals_each_ones_bit_for_bit():
         (np.inf, r"^t must be finite, got inf$"),
         (-np.inf, r"^t must be finite, got -inf$"),
         (np.nan, r"^t must be finite, got nan$"),
-        (1e308, r"^t = 1e\+308 overflows the phases exp\(-i E t\), \|E\| up to "),
-        (-1e308, r"^t = -1e\+308 overflows the phases exp\(-i E t\), \|E\| up to "),
+        (1e308, r"^times up to \|t\| = 1e\+308 overflow the phases exp\(-i E t\), \|E\| up to "),
+        (-1e308, r"^times up to \|t\| = 1e\+308 overflow the phases exp\(-i E t\), \|E\| up to "),
     ],
 )
 def test_evolve_exact_refuses_a_time_it_cannot_evolve_to(t, message):
@@ -312,6 +312,67 @@ def test_evolve_exact_refuses_a_time_it_cannot_evolve_to(t, message):
         # with no energy to multiply, a huge finite time is a phase of 0
         if np.isfinite(t):
             assert _same_bits(evolve_exact(st, np.zeros((4, 4)), t).matrix, st.matrix)
+
+
+_OVERFLOW = r"^times up to \|t\| = 1e\+308 overflow the phases exp\(-i E t\), \|E\| up to "
+_DIMS = r"^h_tot shape \(6, 6\) does not match dims \(2, 2\)$"
+_ORDER = r"^moment order must be an integer >= 1, got 0$"
+_WEIGHT = r"^regularization weight must be in \(0, 1\), got 2\.0$"
+
+
+@pytest.mark.parametrize(
+    "call, message, eighs",
+    [
+        # a time is read against H_tot's energies: refused right after their one eigh
+        (lambda st, h, h6, h_int: evolve_exact(st, h, 1e308), _OVERFLOW, 1),
+        (lambda st, h, h6, h_int: finite_difference_rate(st, h, h=1e308), _OVERFLOW, 1),
+        (lambda st, h, h6, h_int: linalg.unitary_from_hamiltonian(h, -1e308), _OVERFLOW, 1),
+        (lambda st, h, h6, h_int: record_trajectory(st, h, [0.0, 1e308]), _OVERFLOW, 1),
+        # every other input is refused before any factorization
+        (lambda st, h, h6, h_int: evolve_exact(st, h6, 0.1), _DIMS, 0),
+        (lambda st, h, h6, h_int: finite_difference_rate(st, h6), _DIMS, 0),
+        (lambda st, h, h6, h_int: finite_difference_rate(st, h, "moment", n=0), _ORDER, 0),
+        (lambda st, h, h6, h_int: record_trajectory(st, h, [0.0, 1.0], ns=(0,)), _ORDER, 0),
+        (lambda st, h, h6, h_int: record_trajectory(st, h, [0.0, 1.0], regularize=2.0), _WEIGHT, 0),
+        (lambda st, h, h6, h_int: rate_bounds(st, h_int, ns=(0,)), _ORDER, 0),
+        (lambda st, h, h6, h_int: rate_bounds(st, h_int, regularize=2.0), _WEIGHT, 0),
+        (lambda st, h, h6, h_int: entropy_rate(st, h_int, regularize=2.0), _WEIGHT, 0),
+    ],
+    ids=["evolve-time", "fd-step", "unitary-time", "trajectory-times", "evolve-dims", "fd-dims",
+         "fd-n", "trajectory-ns", "trajectory-regularize", "bounds-ns", "bounds-regularize",
+         "entropy-rate-regularize"],
+)
+def test_each_input_is_refused_before_the_factorizations_it_does_not_need(
+    call, message, eighs, monkeypatch
+):
+    # the state's evaluator is not built yet, so its eigh would be counted too
+    st = random_full_rank_state(2, 2, 86)
+    h_int = decompose_hamiltonian(random_hermitian(4, 89), 2, 2).h_int
+    args = (st, random_hermitian(4, 87), random_hermitian(6, 88), h_int)
+    counts = Counter()
+    for name in ("eigh", "eigvalsh", "svd", "cholesky", "qr"):
+        def counted(*a, _real=getattr(np.linalg, name), _name=name, **kw):
+            counts[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+    assert counts == Counter(eigh=eighs)
+
+
+def test_fd_takes_a_step_whose_double_overflows():
+    # 2h overflows from h ~ 9e307: the quotient divides by h, then by 2, so a step whose
+    # phases E h stay finite gives a finite rate with no numpy warning
+    st = random_full_rank_state(2, 2, 86)
+    h = random_hermitian(4, 87)
+    h = h / np.abs(np.linalg.eigvalsh(h)).max()  # |E| <= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for observable in ("entropy", "moment"):
+            assert np.isfinite(finite_difference_rate(st, h, observable, h=1e308, richardson=True))
 
 
 # ------------------------------------------------------------ trajectory
