@@ -29,11 +29,10 @@ from .laziness import (
     _rate_bounds,
     correlation_measures,
 )
-from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
+from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP, _require_positive_dims
 from .protocol import SweepRow, bound_sweep, detect_discord, sparsity_scan
 from .states import (
     BipartiteState,
-    _require_positive_dims,
     derive_rng,
     ginibre_mixed,
     haar_random_pure,

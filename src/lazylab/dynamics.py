@@ -125,8 +125,7 @@ def _spectrum(h_tot, rho: BipartiteState) -> linalg.HermitianSpectrum:
 def evolve_exact(rho: BipartiteState, h_tot, t: float) -> BipartiteState:
     """rho(t) = e^{-i H t} rho e^{i H t} (hbar = 1), for a finite t whose phases E t stay
     finite. H_tot and t are checked; U rho U† of the valid rho is kept as built."""
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    linalg._require_time(t)
     u = _spectrum(h_tot, rho).unitary(t)
     return _valid_state(rho.ds, rho.de, u @ rho.matrix @ linalg.dagger(u))
 
@@ -150,7 +149,7 @@ def finite_difference_rate(
     truncation term. The inputs are checked once, before H_tot's one eigh (``n`` for "moment"
     only), the steps' phases after it; no state is rebuilt.
     """
-    linalg._require_step(h, "step")
+    linalg._require_positive(h, "step")
     if observable not in ("entropy", "moment"):
         raise ValueError(f"observable must be 'entropy' or 'moment', got {observable!r}")
     n = _moment_order(n) if observable == "moment" else n

@@ -36,10 +36,16 @@ def _require_tolerance(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _require_step(value, name: str) -> None:
-    """Refuse a finite-difference step ``name`` that is not finite and > 0."""
+def _require_positive(value, name: str) -> None:
+    """Refuse a finite-difference step or log floor ``name`` that is not finite and > 0."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_time(t) -> None:
+    """Refuse a time t, or any of broadcast times, that is not finite."""
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got {t}")
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -120,8 +126,15 @@ def require_hermitian(m, *, name: str = "matrix") -> np.ndarray:
     return (arr + adj) / 2.0
 
 
+def _require_positive_dims(ds: int, de: int) -> None:
+    """Refuse subsystem dimensions ds, de unless both are >= 1."""
+    if ds < 1 or de < 1:
+        raise ValueError("subsystem dimensions must be positive")
+
+
 def _require_dims(mat: np.ndarray, ds: int, de: int, name: str) -> np.ndarray:
-    """Return mat if its last two axes are (ds*de, ds*de), else raise naming the dims."""
+    """Return mat if ds, de >= 1 and its last two axes are (ds*de, ds*de), else raise naming the dims."""
+    _require_positive_dims(ds, de)
     dim = ds * de
     if mat.shape[-2:] != (dim, dim):
         raise ValueError(f"{name} shape {mat.shape} does not match dims ({ds}, {de})")
@@ -173,7 +186,8 @@ class HermitianSpectrum:
         return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
     def unitary(self, t) -> np.ndarray:
-        """U = exp(-i H t) of this H (hbar = 1), refused if a phase E t overflows; t broadcasts."""
+        """U = exp(-i H t) of this H (hbar = 1), for finite t and phases E t; t broadcasts."""
+        _require_time(t)
         _require_phases(self.eigenvalues, t)
         return HermitianSpectrum(np.exp(-1j * self.eigenvalues * t), self.eigenvectors).reconstruct()
 
@@ -243,9 +257,10 @@ def matrix_function(h, f: Callable[[float], float], *, name: str = "matrix") -> 
 def matrix_log(h, *, floor: float = LOG_EIGENVALUE_FLOOR, name: str = "matrix") -> np.ndarray:
     """Spectral ln of a positive Hermitian matrix.
 
-    Eigenvalues at or below ``floor`` are an error, never clamped; callers
-    that need a rank-deficient log must regularize the operator first.
+    Eigenvalues below ``floor``, itself finite and > 0, are an error, never
+    clamped; callers that need a rank-deficient log must regularize the operator first.
     """
+    _require_positive(floor, "floor")
     spec = hermitian_eig(h, name=name)
     lam_min = float(spec.eigenvalues[0])
     if lam_min < floor:
@@ -257,5 +272,6 @@ def matrix_log(h, *, floor: float = LOG_EIGENVALUE_FLOOR, name: str = "matrix") 
 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
-    """U = exp(-i h t) via the spectral decomposition (hbar = 1)."""
+    """U = exp(-i h t) via the spectral decomposition (hbar = 1), t checked finite first."""
+    _require_time(t)
     return hermitian_eig(h, name="hamiltonian").unitary(t)

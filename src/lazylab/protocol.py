@@ -31,12 +31,11 @@ from .laziness import (
     _rate_report,
     default_lazy_tolerance,
 )
-from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP
+from .linalg import DEFAULT_DETECT_THRESHOLD, FD_STEP, _require_positive_dims
 from .states import (
     BipartiteState,
     _draw,
     _is_pure,
-    _require_positive_dims,
     derive_rng,
     haar_random_pure,
     validate_density_matrix,
@@ -135,7 +134,7 @@ def detect_discord(
     not ``use_fd`` is set.
     """
     linalg._require_tolerance(threshold, "threshold")
-    linalg._require_step(fd_step, "fd_step")
+    linalg._require_positive(fd_step, "fd_step")
     rates = []
     for trials in _chunks(samples, rho.dim**2):
         with _naming_trials(trials):

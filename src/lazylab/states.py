@@ -67,12 +67,6 @@ def validate_density_matrix(rho, *, tol: float = DENSITY_TOL, name: str = "rho")
     return mat
 
 
-def _require_positive_dims(ds: int, de: int) -> None:
-    """Refuse subsystem dimensions ds, de unless both are >= 1."""
-    if ds < 1 or de < 1:
-        raise ValueError("subsystem dimensions must be positive")
-
-
 def _is_pure(purity, tol: float = PURITY_TOL):
     """The pure verdict tr rho^2 > 1 - tol, for one purity tr rho^2 or an array of them."""
     return purity > 1.0 - tol
@@ -92,12 +86,11 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _require_positive_dims(self.ds, self.de)
-        mat = validate_density_matrix(self.matrix, name="bipartite state")
+        mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2:
             raise ValueError(f"bipartite state must be one matrix, got shape {mat.shape}")
         linalg._require_dims(mat, self.ds, self.de, "bipartite state")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", validate_density_matrix(mat, name="bipartite state"))
 
     @property
     def dim(self) -> int:
@@ -115,6 +108,7 @@ class BipartiteState:
         return float(np.linalg.norm(self.matrix) ** 2)
 
     def is_pure(self, *, tol: float = PURITY_TOL) -> bool:
+        linalg._require_tolerance(tol, "tol")
         return bool(_is_pure(self.purity(), tol))
 
 
@@ -158,7 +152,8 @@ class SpectralProjection:
 
 
 def _unit_vector(chi, ds: int, de: int) -> np.ndarray:
-    """chi flattened, checked finite, of length ds*de and with |<chi|chi> - 1| <= NORM_TOL."""
+    """chi flattened, checked finite, of length ds*de (ds, de >= 1), |<chi|chi> - 1| <= NORM_TOL."""
+    linalg._require_positive_dims(ds, de)
     vec = np.asarray(chi, dtype=complex).reshape(-1)
     if vec.size != ds * de:
         raise ValueError(f"vector length {vec.size} does not match dims ({ds}, {de})")
@@ -175,7 +170,6 @@ def pure_state(chi, ds: int, de: int) -> BipartiteState:
     factors, kept as _valid_state keeps one, and the state keeps chi's own evaluator."""
     from .laziness import _eigenbasis  # laziness imports this module
     vec = _unit_vector(chi, ds, de).copy()
-    _require_positive_dims(ds, de)
     return _valid_state(ds, de, np.outer(vec, vec.conj()), _eigenbasis(vec, ds, vectors=True))
 
 
@@ -232,8 +226,10 @@ def _draw(rngs, d: int, rank: int | None = None) -> np.ndarray:
     Ginibre density matrix G G† / tr(G G†); A is d x d and G is d x rank,
     standard complex Gaussian. Each generator draws its own matrix, real
     parts first, and the arithmetic then runs once on the whole stack.
-    ``rank`` must lie in [1, d].
+    ``d`` must be >= 1 and ``rank`` must lie in [1, d].
     """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     if rank is not None and not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     cols = d if rank is None else rank
@@ -259,8 +255,6 @@ def random_hermitian(d: int, seed) -> np.ndarray:
     Off-diagonal entries have E|H_ij|^2 = 1, so the spectral radius is
     about 2*sqrt(d) for large d.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     return _draw([derive_rng(seed)], d)[0]
 
 
@@ -312,7 +306,8 @@ def zero_discord_state(
 
 
 def schmidt_decompose(chi, ds: int, de: int, cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:
-    """Schmidt decomposition of a unit vector on C^ds (x) C^de."""
+    """Schmidt decomposition of a unit vector on C^ds (x) C^de; ``cutoff`` is finite and >= 0."""
+    linalg._require_tolerance(cutoff, "cutoff")
     vec = _unit_vector(chi, ds, de)
     u, s, vh = np.linalg.svd(vec.reshape(ds, de), full_matrices=False)
     rank = int(np.count_nonzero(s > cutoff))

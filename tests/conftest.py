@@ -15,6 +15,7 @@ from lazylab import (
     random_hermitian,
 )
 
+FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "qr", "cholesky")
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -91,15 +92,11 @@ def rng():
 
 @pytest.fixture
 def checks(monkeypatch):
-    """A Counter of the calls made to linalg.require_hermitian ("hermitian"),
-    np.linalg.eigh ("eigh") and np.linalg.cholesky ("cholesky"), one per call."""
+    """A Counter of the calls made to linalg.require_hermitian ("hermitian") and to the
+    factorizations np.linalg.eigh, eigvalsh, svd, qr and cholesky (by name), one per call."""
     counts = Counter()
-    for module, name, key in (
-        (linalg, "require_hermitian", "hermitian"),
-        (np.linalg, "eigh", "eigh"),
-        (np.linalg, "cholesky", "cholesky"),
-    ):
-        def call(*args, _real=getattr(module, name), _key=key, **kwargs):
+    for module, name in ((linalg, "require_hermitian"), *((np.linalg, f) for f in FACTORIZATIONS)):
+        def call(*args, _real=getattr(module, name), _key=name.removeprefix("require_"), **kwargs):
             counts[_key] += 1
             return _real(*args, **kwargs)
 

@@ -129,12 +129,6 @@ def test_moments_two_route_oracle():
     assert abs(moments(rho, [2])[2] - via_product) < 1e-11
 
 
-def test_moments_rejects_zero_order():
-    for n in (0, 2.9):  # a non-integral order is refused, not truncated
-        with pytest.raises(ValueError):
-            moments(np.eye(2) / 2, [n])
-
-
 # ---------------------------------------------------- laziness commutator
 
 
@@ -415,14 +409,6 @@ def test_regularize_state_properties():
     st = pure_state(schmidt_pure_vector([1.0, 0.0]), 2, 2)
     reg = regularize_state(st, 1e-3)
     assert np.linalg.eigvalsh(reg.rho_s)[0] > 1e-4
-    with pytest.raises(ValueError):
-        regularize_state(st, 0.0)
-    # not a real number in (0, 1): refused alike, neither a TypeError nor a copy of st
-    for bad in (None, np.nan):
-        with pytest.raises(ValueError, match="regularization weight must be in"):
-            regularize_state(st, bad)
-    with pytest.raises(ValueError, match="regularization weight must be in"):
-        rate_bounds(random_full_rank_state(2, 2, 5), random_interaction(2, 2, 6), regularize="0.1")
 
 
 @pytest.mark.parametrize("delta", [1e-3, 0.5])
@@ -437,28 +423,16 @@ def test_regularize_state_properties():
         ),
     ],
 )
-def test_regularize_state_is_neither_checked_nor_factorized_again(monkeypatch, make, delta):
+def test_regularize_state_is_neither_checked_nor_factorized_again(checks, make, delta):
     # (1 - d) rho + d I/dim is valid by construction: no dim x dim Hermiticity check or
     # Cholesky runs on it, and it keeps the bits the checked BipartiteState would keep
     st = make()
     ev = laziness._evaluator(st)
-    cholesky, require_hermitian = np.linalg.cholesky, linalg.require_hermitian
-    calls = []
-
-    def counting(real):
-        def call(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting(cholesky))
-    monkeypatch.setattr(linalg, "require_hermitian", counting(require_hermitian))
+    checks.clear()
     reg = regularize_state(st, delta)
-    assert calls == []
+    assert checks["cholesky"] == checks["hermitian"] == 0
     derived = laziness._evaluator(reg)  # the evaluator derived from st's, kept on reg
     assert isinstance(derived, laziness._Regularized) and derived.base is ev and derived.d == delta
-    monkeypatch.undo()
     checked = BipartiteState(ds=st.ds, de=st.de, matrix=laziness._regularized(ev, delta).mat)
     assert _same_bits(reg.matrix, checked.matrix)
     assert (reg.ds, reg.de) == (st.ds, st.de)
@@ -486,13 +460,6 @@ def test_moment_rate_matches_finite_difference():
     analytic = moment_rate(st, h_int, 2)
     fd = finite_difference_rate(st, h_tot, "moment", n=2, h=1e-5)
     assert abs(fd - analytic) / abs(analytic) < 1e-6
-
-
-def test_moment_rate_rejects_zero_order():
-    st = random_full_rank_state(2, 2, 3)
-    for n in (0, 2.7, float("inf")):  # a non-integral order is refused, not truncated
-        with pytest.raises(ValueError):
-            moment_rate(st, random_interaction(2, 2, 4), n)
 
 
 # ---------------------------------------------------------------- bounds

@@ -92,8 +92,6 @@ def test_partial_trace_linearity(rng):
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         linalg.partial_trace(np.eye(5), 2, 3)
-    with pytest.raises(ValueError):
-        linalg.partial_trace(np.eye(6), 2, 3, keep="both")
 
 
 @pytest.mark.parametrize(
