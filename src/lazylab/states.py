@@ -281,7 +281,7 @@ def zero_discord_state(
     probability; ``env_states`` are density matrices on a common
     environment space, each checked; the mixture is kept as built.
     """
-    p = np.asarray(probs, dtype=float)
+    p = linalg._require_finite(np.asarray(probs, dtype=float), "probs")
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a non-empty 1-D sequence")
     if np.any(p < -linalg.NEGATIVE_PROB_TOL):
@@ -292,6 +292,7 @@ def zero_discord_state(
         raise ValueError("probs, basis and env_states must have matching lengths")
 
     vecs = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis], axis=1)
+    linalg._require_finite(vecs, "basis")
     ds = vecs.shape[0]
     _require_orthonormal(vecs, "basis")
 

@@ -93,12 +93,14 @@ def rng():
 @pytest.fixture
 def checks(monkeypatch):
     """A Counter of the calls made to linalg.require_hermitian ("hermitian") and to the
-    factorizations np.linalg.eigh, eigvalsh, svd, qr and cholesky (by name), one per call."""
+    factorizations np.linalg.eigh, eigvalsh, svd, qr and cholesky: each call counts once by
+    name and once by (name, the stacked shape of the matrix it was given)."""
     counts = Counter()
     for module, name in ((linalg, "require_hermitian"), *((np.linalg, f) for f in FACTORIZATIONS)):
-        def call(*args, _real=getattr(module, name), _key=name.removeprefix("require_"), **kwargs):
+        def call(a, *args, _real=getattr(module, name), _key=name.removeprefix("require_"), **kwargs):
             counts[_key] += 1
-            return _real(*args, **kwargs)
+            counts[_key, np.shape(a)] += 1
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, call)
     return counts

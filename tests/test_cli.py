@@ -12,7 +12,6 @@ from lazylab import (
     ginibre_mixed,
     haar_random_pure,
     laziness,
-    linalg,
     random_hermitian,
     rate_bounds,
     record_trajectory,
@@ -683,24 +682,16 @@ def analyze_8x8_files(tmp_path_factory):
         ("ginibre", ["H", "--regularize", "1e-3"], 5),
     ],
 )
-def test_analyze_factorizes_rho_s_once(analyze_8x8_files, monkeypatch, capsys, kind, args, expected):
+def test_analyze_factorizes_rho_s_once(analyze_8x8_files, checks, capsys, kind, args, expected):
     # 64 x 64 eigvalsh per answer: ||H_int|| once; on a pure state nothing else
     # (commutator norms, entropies, negativity and the regularized ||K||_1 are
     # closed forms of the Schmidt weights); on a mixed one ||C||_1, S(rho_SE)
-    # and the partial transpose, plus ||K||_1 with H, regularized or not
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *a_args, **kwargs):
-        if np.shape(a)[-2:] == (64, 64):
-            calls.append(np.shape(a))
-        return eigvalsh(a, *a_args, **kwargs)
-
+    # and the partial transpose, plus ||K||_1 with H, regularized or not. Every
+    # other eigvalsh is of the 8 x 8 rho_S, and none is stacked
     argv = ["analyze", analyze_8x8_files[kind], *(analyze_8x8_files.get(a, a) for a in args)]
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == expected
+    assert checks["eigvalsh", (64, 64)] == expected == checks["eigvalsh"] - checks["eigvalsh", (8, 8)]
 
 
 @pytest.mark.parametrize(
@@ -733,17 +724,9 @@ def test_analyze_builds_each_dense_commutator_once(monkeypatch, capsys, args, ex
         (["evolve", "bell.json", "hamiltonian_2x2.json", "--t-max", "1", "--steps", "5"], 2),
     ],
 )
-def test_derived_matrices_are_not_checked_hermitian_again(monkeypatch, capsys, args, expected):
+def test_derived_matrices_are_not_checked_hermitian_again(checks, capsys, args, expected):
     # the state once, as it is built, and a Hamiltonian file once, as it is read;
     # neither its split nor the h_int rated from it is checked again
-    calls = []
-    require_hermitian = linalg.require_hermitian
-
-    def counting(m, **kwargs):
-        calls.append(kwargs.get("name"))
-        return require_hermitian(m, **kwargs)
-
-    monkeypatch.setattr(linalg, "require_hermitian", counting)
     assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in args]) == 0
     capsys.readouterr()
-    assert len(calls) == expected, calls
+    assert checks["hermitian"] == expected, checks

@@ -1,5 +1,4 @@
 import pathlib
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from lazylab import (
     validate_density_matrix,
     zero_discord_state,
 )
-from lazylab import decompose_hamiltonian, laziness, linalg, operator_norm, protocol, statefile
+from lazylab import decompose_hamiltonian, laziness, operator_norm, protocol, statefile
 from lazylab.states import _draw
 
 from .conftest import _same_bits, random_interaction, schmidt_pure_vector
@@ -107,18 +106,6 @@ def test_sparsity_scan_and_bound_sweep_validate_samples():
         bound_sweep(2, 2, samples=0, seed=1)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_protocol_tolerances_must_be_finite_and_non_negative(bad):
-    with pytest.raises(ValueError, match="^lazy_tol must be finite and >= 0"):
-        sparsity_scan(2, 2, samples=5, rank=4, seed=1, lazy_tol=bad)
-    with pytest.raises(ValueError, match="^threshold must be finite and >= 0"):
-        detect_discord(maximally_entangled(2), samples=2, seed=1, threshold=bad)
-    with pytest.raises(ValueError, match="step must be finite and positive"):
-        detect_discord(maximally_entangled(2), samples=2, seed=1, use_fd=True, fd_step=bad)
-    with pytest.raises(ValueError, match="^fd_step must be finite and positive"):
-        detect_discord(maximally_entangled(2), samples=2, seed=1, fd_step=bad)
-
-
 @pytest.mark.parametrize("ds, de", [(1, 4), (4, 1)])
 def test_random_couplings_refuse_a_one_dimensional_factor(ds, de):
     # every partial-traceless coupling is zero there, so the draw's roundoff
@@ -165,32 +152,27 @@ def test_an_included_state_reads_as_analyze_reads_it(include, lazy):
     assert summary.count_below_tol == lazy
 
 
-def test_sparsity_scan_checks_and_factorizes_only_drawn_samples(monkeypatch):
+def test_sparsity_scan_checks_and_factorizes_only_drawn_samples(monkeypatch, checks):
     # a purevector include is checked as a vector when it is loaded, and the scan
-    # then reads it from that evaluator: 5 samples check and factorize 4 matrices
-    counts = Counter()
+    # then reads it from that evaluator: 5 samples check and factorize 4 matrices, stacked
+    validated = []
+    validate = protocol.validate_density_matrix
 
-    def counting(module, name, key):
-        real = getattr(module, name)
+    def counting(rho, *args, **kwargs):
+        validated.append(np.shape(rho))
+        return validate(rho, *args, **kwargs)
 
-        def call(a, *args, **kwargs):
-            counts[key] += int(np.prod(np.shape(a)[:-2]))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(module, name, call)
-
-    counting(np.linalg, "cholesky", "cholesky")
-    counting(linalg, "require_hermitian", "hermitian")
-    counting(protocol, "validate_density_matrix", "validated")
+    monkeypatch.setattr(protocol, "validate_density_matrix", counting)
     include = statefile.load_state(GOLDEN / "schmidt_08_02.json")
-    assert counts == {}
+    assert (checks["cholesky"], checks["hermitian"], validated) == (0, 0, [])
     summary = sparsity_scan(2, 2, samples=5, rank=4, seed=3, include=include)
-    assert counts == {"cholesky": 4, "hermitian": 4, "validated": 4}
+    assert (checks["cholesky"], checks["cholesky", (4, 4, 4)]) == (1, 1)
+    assert (checks["hermitian"], checks["hermitian", (4, 4, 4)], validated) == (1, 1, [(4, 4, 4)])
     assert summary.max_trace_norm == 0.48 == laziness_commutator(include).trace_norm
 
-    counts.clear()  # with one sample nothing is drawn, yet a bad rank is still refused
+    checks.clear()  # with one sample nothing is drawn, yet a bad rank is still refused
     sparsity_scan(2, 2, samples=1, rank=4, seed=3, include=include)
-    assert counts == {}
+    assert (checks["cholesky"], checks["hermitian"], validated) == (0, 0, [(4, 4, 4)])
     with pytest.raises(ValueError, match=r"^rank must be in \[1, 4\], got 9"):
         sparsity_scan(2, 2, samples=1, rank=9, seed=3, include=include)
 
@@ -224,31 +206,16 @@ def test_bound_sweep_no_negative_slack():
     assert any(not row.pure for row in rows)
 
 
-def test_bound_sweep_reads_each_chunk_from_one_evaluator(monkeypatch):
+def test_bound_sweep_reads_each_chunk_from_one_evaluator(checks):
     # a chunk of trials at 8x8 costs one stacked eigh of rho_S and three stacked
     # 64 x 64 eigvalsh: normalizing the couplings, ||C||_1 and ||K||_1. ||H_int|| = 1
     # by that normalization, and the pure rows' I = 2 S(rho_S) reads the same rho_S.
-    # Matrices are counted per trial, calls per chunk
-    matrices, calls = Counter(), Counter()
-
-    def counting(name):
-        real = getattr(np.linalg, name)
-
-        def call(a, *args, **kwargs):
-            shape = np.shape(a)
-            matrices[name, shape[-2:]] += int(np.prod(shape[:-2]))
-            calls[name, shape[-2:]] += 1
-            return real(a, *args, **kwargs)
-
-        return call
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    # The 64 trials run in chunks of 4
     rows = bound_sweep(8, 8, 64, seed=1)
     chunks = len(laziness._chunks(64, 64**2))
-    assert sum(row.pure for row in rows) == 32
-    assert matrices == {("eigvalsh", (64, 64)): 3 * 64, ("eigh", (8, 8)): 64}
-    assert calls == {("eigvalsh", (64, 64)): 3 * chunks, ("eigh", (8, 8)): chunks}
+    assert chunks == 64 // 4 and sum(row.pure for row in rows) == 32
+    assert (checks["eigh"], checks["eigh", (4, 8, 8)], checks["svd"]) == (chunks, chunks, 0)
+    assert (checks["eigvalsh"], checks["eigvalsh", (4, 64, 64)]) == (3 * chunks, 3 * chunks)
 
 
 # ------------------------------------------------ stacked against per-sample

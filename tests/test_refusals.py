@@ -1,14 +1,14 @@
 """One refusal table for every public parameter, checked by one generated test.
 
-ROWS maps a parameter name, or a (function, parameter) pair where one name means two
-things, to its rows: bad values and the one message that refuses them, a regex in which
+ROWS maps a parameter name, or a (function, parameter) pair where one function needs rows
+of its own, to its rows: bad values and the one message that refuses them, a regex in which
 {name} is the parameter and {value} the bad value (each prints as plain regex text). The
 walk covers every function and class in lazylab.__all__ and every public method of those
 classes. Each bad value goes into the function's valid call in VALID, alone and, for
 parameters that share one tuple of rows (ds and de), into all of them at once. Each must
 raise a ValueError with its row's message, with no warning and before any np.linalg
-factorization; only a phase overflow may follow the one eigh that gives the energies it
-is read against.
+factorization; only a phase overflow follows exactly the one eigh that gives the energies
+it is read against (none where the spectrum is given).
 """
 
 import inspect
@@ -32,7 +32,7 @@ from .conftest import FACTORIZATIONS
 class Row(NamedTuple):
     values: tuple
     message: str
-    eighs: int = 0  # the eigh calls allowed before the refusal
+    eighs: int = 0  # the eigh calls made before the refusal
 
 
 H, H6, RHO = random_hermitian(4, 87), random_hermitian(6, 88), np.eye(4) / 4
@@ -43,6 +43,8 @@ POSITIVE = Row((np.nan, np.inf, -1.0, 0.0), "^{name} must be finite and positive
 HERMITIAN = Row((np.triu(np.ones((4, 4))),), r"is not Hermitian: \|\|m - m†\|\|_F = \S+ exceeds tolerance$")
 WEIGHT = Row((0.0, 1.0, 2.0, np.nan, "0.5"), r"^regularization weight must be in \(0, 1\), got {value!r}$")
 COUNT = Row((0, -1), "^{name} must be >= 1, got {value}$")
+FINITE_T = Row((np.nan, np.inf, -np.inf), "^t must be finite, got {value}$")
+OVERFLOW_T = Row((1e308, -1e308), OVERFLOW, eighs=1)
 
 ROWS = {
     **dict.fromkeys(("ds", "de", "d_system", "d_env"), DIMS),
@@ -58,12 +60,10 @@ ROWS = {
     "delta": (WEIGHT._replace(values=(*WEIGHT.values, None)),),
     "n": (Row((0, 2.5, np.inf, np.nan), "^moment order must be an integer >= 1, got {value}$"),),
     "ns": (Row(((0,), (2.5, 2)), "^moment order must be an integer >= 1, got {value[0]}$"),),
-    "t": (
-        Row((np.nan, np.inf, -np.inf), "^t must be finite, got {value}$"),
-        Row((1e308, -1e308), OVERFLOW, eighs=1),
-    ),
+    "t": (FINITE_T, OVERFLOW_T),
+    ("HermitianSpectrum.unitary", "t"): (FINITE_T, OVERFLOW_T._replace(eighs=0)),  # given its spectrum
     "times": (
-        Row(([0.0, np.nan], [-np.inf, 0.0]), "^times must be finite$"),
+        Row(([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]), "^times must be finite$"),
         Row(([0.3, 0.1],), "^times must be sorted ascending$"),
         Row(([], [[0.0, 1.0]]), "^times must be a non-empty 1-D sequence$"),
         Row(([0.0, 1e308], [-1e308, 0.0]), OVERFLOW, eighs=1),
@@ -183,7 +183,7 @@ def test_refusal(call, name, names, row, value, checks):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=row.message.format(name=names[0], value=value)):
             call(**kwargs)
-    assert Counter({f: checks[f] for f in FACTORIZATIONS}) <= Counter(eigh=row.eighs)
+    assert Counter({f: checks[f] for f in FACTORIZATIONS}) == Counter(eigh=row.eighs)
 
 
 def test_every_parameter_has_a_row_or_is_an_operand_and_every_valid_call_is_accepted():
