@@ -168,9 +168,14 @@ def test_commutator_tolerance_override():
     assert not laziness_commutator(st).lazy
 
 
-def test_zero_commutator_and_pinching_tolerances_are_valid():
-    # nothing clusters and only ||C||_1 = 0 is lazy
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_commutator_and_pinching_tolerances_must_be_finite_and_non_negative(bad):
     st = BipartiteState(ds=2, de=2, matrix=ginibre_mixed(4, 4, 3))
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0"):
+        laziness_commutator(st, tol=bad)
+    with pytest.raises(ValueError, match="^cluster_tol must be finite and >= 0"):
+        pinching_residual(st, cluster_tol=bad)
+    # zero is a valid tolerance: nothing clusters and only ||C||_1 = 0 is lazy
     assert pinching_residual(st, cluster_tol=0.0) == pinching_residual(st)
     assert not laziness_commutator(st, tol=0.0).lazy
 
